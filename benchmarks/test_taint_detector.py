@@ -4,8 +4,8 @@ Shape contract: the grammar-driven augmented detectors reach >= 0.9
 precision and recall on every workload, suppress every sanitizer/spawn
 decoy, and consume the taint closure already computed for the checker
 bundle — zero extra engine runs and zero extra supersteps.  The taint
-grammar closure itself is byte-identical across the serial, process,
-and matmul join backends.  Machine-readable numbers land in
+grammar closure itself is byte-identical across the serial and matmul
+join backends.  Machine-readable numbers land in
 ``results/BENCH_taint.json``.
 """
 
@@ -16,16 +16,13 @@ import numpy as np
 from repro.bench import render_table, rows_from_dicts, save_and_print, taint_rows
 from repro.engine import GraspanEngine
 from repro.engine.matmul import scipy_available
-from repro.engine.parallel import shared_memory_available
 from repro.frontend import taint_graph
 from repro.grammar import taint_grammar
 from benchmarks.conftest import results_path
 
 
-def closure_arrays(graph, backend, num_threads=1):
-    comp = GraspanEngine(
-        taint_grammar(), parallel_backend=backend, num_threads=num_threads
-    ).run(graph)
+def closure_arrays(graph, backend):
+    comp = GraspanEngine(taint_grammar(), parallel_backend=backend).run(graph)
     mem = comp.to_memgraph()
     return np.asarray(mem.src).copy(), np.asarray(mem.keys).copy()
 
@@ -59,11 +56,6 @@ def test_taint_detector(benchmark, all_workloads):
     graph = taint_graph(cw.pg, alias_pairs=ctx.pointsto.deref_alias_pairs())
     base_src, base_keys = closure_arrays(graph, "serial")
     checked = ["serial"]
-    if shared_memory_available():
-        src, keys = closure_arrays(graph, "process", num_threads=2)
-        assert np.array_equal(base_src, src)
-        assert np.array_equal(base_keys, keys)
-        checked.append("process")
     if scipy_available():
         src, keys = closure_arrays(graph, "matmul")
         assert np.array_equal(base_src, src)

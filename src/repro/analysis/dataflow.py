@@ -86,7 +86,6 @@ class SourceTrackingAnalysis:
     taint: bool = False
     max_edges_per_partition: Optional[int] = None
     workdir: Optional[PathLike] = None
-    num_threads: int = 1
     parallel_backend: Optional[str] = None
     #: Optional :class:`repro.engine.store.ClosureStore`; see
     #: :class:`repro.analysis.pointsto.PointsToAnalysis`.
@@ -109,7 +108,6 @@ class SourceTrackingAnalysis:
                 nullflow_grammar(),
                 max_edges_per_partition=self.max_edges_per_partition,
                 workdir=self.workdir,
-                num_threads=self.num_threads,
                 parallel_backend=self.parallel_backend,
             )
             computation = engine.run(graph)

@@ -130,7 +130,6 @@ class PointsToAnalysis:
     grammar: Optional[FrozenGrammar] = None
     max_edges_per_partition: Optional[int] = None
     workdir: Optional[PathLike] = None
-    num_threads: int = 1
     parallel_backend: Optional[str] = None
     #: When set, closures come from this
     #: :class:`repro.engine.store.ClosureStore` — cached or incrementally
@@ -148,7 +147,6 @@ class PointsToAnalysis:
                 grammar,
                 max_edges_per_partition=self.max_edges_per_partition,
                 workdir=self.workdir,
-                num_threads=self.num_threads,
                 parallel_backend=self.parallel_backend,
             )
             computation = engine.run(graph)

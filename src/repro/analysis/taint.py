@@ -167,7 +167,6 @@ class TaintAnalysis:
 
     max_edges_per_partition: Optional[int] = None
     workdir: Optional[PathLike] = None
-    num_threads: int = 1
     parallel_backend: Optional[str] = None
     #: Optional :class:`repro.engine.store.ClosureStore`; see
     #: :class:`repro.analysis.pointsto.PointsToAnalysis`.
@@ -189,7 +188,6 @@ class TaintAnalysis:
                 taint_grammar(),
                 max_edges_per_partition=self.max_edges_per_partition,
                 workdir=self.workdir,
-                num_threads=self.num_threads,
                 parallel_backend=self.parallel_backend,
             )
             computation = engine.run(graph)

@@ -34,7 +34,6 @@ from repro.bench.ablation import (
     ablation_scheduler,
 )
 from repro.bench.residency import DEFAULT_BUDGET_FACTORS, residency_rows
-from repro.bench.scaling import DEFAULT_SWEEP, scaling_rows
 
 __all__ = [
     "SCALE_ENV",
@@ -64,8 +63,6 @@ __all__ = [
     "ablation_dedup_merge",
     "ablation_oldnew",
     "ablation_scheduler",
-    "DEFAULT_SWEEP",
-    "scaling_rows",
     "DEFAULT_BUDGET_FACTORS",
     "residency_rows",
 ]

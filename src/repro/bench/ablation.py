@@ -22,7 +22,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.engine.engine import GraspanEngine
-from repro.engine.join import CsrView, apply_unary_closure, join_edges_chunked
+from repro.engine.join import CsrView, apply_unary_closure, join_edges
 from repro.engine.scheduler import RoundRobinScheduler, Scheduler
 from repro.engine.superstep import _edges_of, _group_candidates, run_superstep
 from repro.graph import packed
@@ -50,9 +50,7 @@ def run_superstep_full_rejoin(
         iterations += 1
         csr = CsrView.from_dict(state)
         src, keys = _edges_of(state)
-        cand_src, cand_keys = join_edges_chunked(
-            src, keys, [csr], grammar, head_mask
-        )
+        cand_src, cand_keys = join_edges(src, keys, csr, grammar, head_mask)
         join_volume += len(cand_src)
         if len(cand_src) == 0:
             break

@@ -114,7 +114,6 @@ def run_analyses(
     pg: ProgramGraphs,
     max_edges_per_partition: Optional[int] = None,
     workdir: Optional[PathLike] = None,
-    num_threads: int = 1,
     parallel_backend: Optional[str] = None,
     closure_store=None,
 ) -> AnalysisContext:
@@ -132,28 +131,24 @@ def run_analyses(
     pointsto = PointsToAnalysis(
         max_edges_per_partition=max_edges_per_partition,
         workdir=workdir,
-        num_threads=num_threads,
         parallel_backend=parallel_backend,
         closure_store=closure_store,
     ).run(pg)
     nullflow = NullDataflowAnalysis(
         max_edges_per_partition=max_edges_per_partition,
         workdir=workdir,
-        num_threads=num_threads,
         parallel_backend=parallel_backend,
         closure_store=closure_store,
     ).run(pg, pointsto=pointsto)
     taintflow = TaintDataflowAnalysis(
         max_edges_per_partition=max_edges_per_partition,
         workdir=workdir,
-        num_threads=num_threads,
         parallel_backend=parallel_backend,
         closure_store=closure_store,
     ).run(pg, pointsto=pointsto)
     taint = TaintAnalysis(
         max_edges_per_partition=max_edges_per_partition,
         workdir=workdir,
-        num_threads=num_threads,
         parallel_backend=parallel_backend,
         closure_store=closure_store,
     ).run(pg, pointsto=pointsto)

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <subcommand>``.
 
-Nine subcommands cover the system's main entry points:
+Seven subcommands cover the system's main entry points:
 
 ``analyze``
     Run the pointer/alias + dataflow analyses and the checkers on a
@@ -26,15 +26,6 @@ Nine subcommands cover the system's main entry points:
 ``workload``
     Generate one of the evaluation codebases to a directory (MiniC
     sources per module plus the ground-truth JSON).
-
-``coordinator`` / ``worker``
-    Distributed supersteps (DESIGN.md §16): the coordinator owns the
-    scheduler, DDM, and checkpoint manifest for one closure and hands
-    out pair leases over TCP; each worker shares nothing with it but
-    the partition files in the workdir, joins its leased pair locally,
-    and ships the new-edge delta back.  ``closure --backend
-    distributed`` runs the same protocol self-contained with in-process
-    workers.
 
 ``serve``
     Closure-as-a-service: start the daemon over a persistent closure
@@ -74,15 +65,33 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
-    """argparse type: a finite float strictly greater than zero."""
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither nan nor infinite."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if not value > 0 or value != value or value == float("inf"):
+    if value != value or value in (float("inf"), float("-inf")):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float strictly greater than zero."""
+    value = _finite_float(text)
+    if not value > 0:
         raise argparse.ArgumentTypeError(
             f"must be a positive number, got {text}"
+        )
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    """argparse type: a finite float greater than or equal to zero."""
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative number, got {text}"
         )
     return value
 
@@ -140,24 +149,14 @@ def _cmd_closure(args: argparse.Namespace) -> int:
     if not fault_plan.empty():
         injector = FaultInjector(fault_plan)
         print(f"fault injection active: {fault_plan}", file=sys.stderr)
-    distributed = None
-    if args.backend == "distributed":
-        distributed = {
-            "workers": args.workers or args.threads,
-            "lease_timeout": args.lease_timeout,
-            "max_inflight": args.max_inflight,
-        }
     engine = GraspanEngine(
         grammar,
         max_edges_per_partition=args.max_edges_per_partition,
         workdir=args.workdir,
-        num_threads=args.threads,
         parallel_backend=args.backend,
         memory_budget=memory_budget,
         checkpoint=False if args.no_checkpoint else None,
-        pipeline=args.pipeline,
         fault_injector=injector,
-        distributed=distributed,
     )
     computation = engine.run(graph, resume=args.resume)
     try:
@@ -175,29 +174,7 @@ def _cmd_closure(args: argparse.Namespace) -> int:
         f"io {stats.timers.get('io'):.2f}s",
         file=sys.stderr,
     )
-    par = stats.parallelism_summary()
-    print(
-        f"join backend {par['backend']}: {par['chunks']} chunks "
-        f"(worst balance {par['worst_chunk_balance']}x), "
-        f"pool {par['pool_s']}s vs serial-estimate {par['serial_estimate_s']}s "
-        f"(~{par['speedup_estimate']}x)",
-        file=sys.stderr,
-    )
-    if args.backend == "distributed":
-        dist = stats.distributed_summary()
-        print(
-            f"distributed: {dist['workers']} workers, "
-            f"{dist['leases_issued']} leases issued / "
-            f"{dist['leases_completed']} completed, "
-            f"{dist['leases_reissued']} reissued "
-            f"({dist['reissue_fraction']:.1%}), "
-            f"{dist['worker_deaths']} worker deaths, "
-            f"{dist['delta_edges_applied']} delta edges applied, "
-            f"{dist['duplicate_deltas_suppressed']} duplicates suppressed, "
-            f"{dist['stale_deltas_rejected']} stale rejected",
-            file=sys.stderr,
-        )
-    if str(par["backend"]).startswith("matmul"):
+    if stats.supersteps and stats.supersteps[-1].backend == "matmul":
         mm = stats.matmul_summary()
         print(
             f"matmul: {mm['products']} label-block products "
@@ -228,20 +205,7 @@ def _cmd_closure(args: argparse.Namespace) -> int:
             f"({dur['checkpoint_s']}s), {resumed}; "
             f"{dur['io_retries']} io retries, "
             f"{dur['tmp_scrubbed']} tmp scrubbed, "
-            f"{dur['files_purged']} files purged, "
-            f"{dur['worker_respawns']} worker respawns"
-            + (", backend degraded" if dur["backend_degraded"] else ""),
-            file=sys.stderr,
-        )
-    if stats.pipeline_enabled:
-        pipe = stats.pipeline_summary()
-        print(
-            f"overlap: {pipe['overlap_fraction']:.0%} of background io hidden "
-            f"({pipe['io_hidden_s']}s of {pipe['io_busy_s']}s); "
-            f"prefetch {pipe['prefetch_hits']}/{pipe['prefetch_issued']} hits "
-            f"({pipe['prefetch_wasted']} wasted); "
-            f"waited {pipe['load_wait_s']}s loads, "
-            f"{pipe['flush_wait_s']}s flushes",
+            f"{dur['files_purged']} files purged",
             file=sys.stderr,
         )
     if args.label:
@@ -326,7 +290,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         memory_budget=(
             parse_memory_size(args.memory_budget) if args.memory_budget else None
         ),
-        num_threads=args.threads,
         parallel_backend=args.backend,
         num_workers=args.workers,
         fault_injector=injector,
@@ -337,100 +300,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         drain_grace=args.drain_grace,
     )
     daemon.serve_forever()
-    return 0
-
-
-def _cmd_coordinator(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.distributed import DistributedCoordinator
-    from repro.engine import GraspanEngine
-    from repro.grammar import parse_grammar_file
-    from repro.graph import read_text, write_text
-    from repro.util.faults import FaultInjector, FaultPlan
-    from repro.util.memory import parse_memory_size
-
-    grammar = parse_grammar_file(args.grammar)
-    graph = read_text(args.graph)
-    fault_plan = FaultPlan.from_env()
-    injector = None
-    if not fault_plan.empty():
-        injector = FaultInjector(fault_plan)
-        print(f"fault injection active: {fault_plan}", file=sys.stderr)
-    engine = GraspanEngine(
-        grammar,
-        max_edges_per_partition=args.max_edges_per_partition,
-        workdir=args.workdir,
-        parallel_backend="distributed",
-        memory_budget=(
-            parse_memory_size(args.memory_budget) if args.memory_budget else None
-        ),
-        checkpoint=False if args.no_checkpoint else None,
-        fault_injector=injector,
-    )
-    with engine.session(graph, resume=args.resume) as session:
-        coordinator = DistributedCoordinator(
-            session,
-            host=args.host,
-            port=args.port,
-            lease_timeout=args.lease_timeout,
-            max_inflight=args.max_inflight,
-            worker_backend=args.worker_backend,
-        )
-        coordinator.start()
-        print(
-            f"coordinator listening on {coordinator.host}:{coordinator.port}",
-            file=sys.stderr,
-            flush=True,
-        )
-        try:
-            # Wait for the *drain*, not the first "done": stopping the
-            # instant one worker sees the fixpoint races the others'
-            # in-flight lease polls into connection-refused failures.
-            while not coordinator.drained() and coordinator.failure is None:
-                time.sleep(0.05)
-        finally:
-            coordinator.stop()
-        if coordinator.failure is not None:
-            raise coordinator.failure
-        stats = session.stats
-        dist = stats.distributed_summary()
-        print(
-            f"closure complete: {stats.num_supersteps} supersteps over "
-            f"{dist['workers']} workers; {dist['leases_issued']} leases "
-            f"issued, {dist['leases_reissued']} reissued, "
-            f"{dist['worker_deaths']} worker deaths",
-            file=sys.stderr,
-        )
-        if args.out:
-            write_text(session.pset.to_memgraph(), args.out)
-            print(f"full closure written to {args.out}", file=sys.stderr)
-    return 0
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro.distributed import DistributedWorker
-    from repro.util.faults import FaultPlan
-    from repro.util.memory import parse_memory_size
-
-    fault_plan = FaultPlan.from_env()
-    if fault_plan.empty():
-        fault_plan = None
-    else:
-        print(f"fault injection active: {fault_plan}", file=sys.stderr)
-    worker = DistributedWorker(
-        args.host,
-        args.port,
-        workdir=args.workdir,
-        worker_id=args.worker_id,
-        memory_budget=(
-            parse_memory_size(args.memory_budget) if args.memory_budget else None
-        ),
-        fault_plan=fault_plan,
-        hard_kill=True,
-    )
-    completed = worker.run()
-    print(f"{args.worker_id}: {completed} leases completed", file=sys.stderr)
     return 0
 
 
@@ -504,6 +373,8 @@ def _cmd_workload(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.engine.parallel import BACKENDS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Graspan reproduction: interprocedural static analysis "
@@ -536,7 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
     closure.add_argument("--label", default=None, help="print edges with this label")
     closure.add_argument("--out", default=None, help="write full closure here")
     closure.add_argument(
-        "--max-edges-per-partition", type=int, default=None, dest="max_edges_per_partition"
+        "--max-edges-per-partition",
+        type=_positive_int,
+        default=None,
+        dest="max_edges_per_partition",
     )
     closure.add_argument("--workdir", default=None)
     closure.add_argument(
@@ -558,50 +432,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the run journal + manifest even with --workdir",
     )
     closure.add_argument(
-        "--pipeline",
-        action="store_true",
-        dest="pipeline",
-        default=None,
-        help="overlap disk I/O with compute: background prefetch of the "
-        "predicted next pair + asynchronous write-back (requires "
-        "--workdir; on by default when one is set)",
-    )
-    closure.add_argument(
-        "--no-pipeline",
-        action="store_false",
-        dest="pipeline",
-        help="force the sequential load/compute/flush loop",
-    )
-    closure.add_argument("--threads", type=int, default=1)
-    closure.add_argument(
         "--backend",
-        choices=("serial", "thread", "process", "matmul", "distributed"),
+        choices=BACKENDS,
         default=None,
-        help="join data plane (default: thread when --threads > 1, else "
-        "serial; process = shared-memory worker pool; matmul = per-label "
-        "boolean sparse matrix products, needs scipy; distributed = "
-        "coordinator + in-process lease workers, requires --workdir)",
-    )
-    closure.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        help="lease workers for --backend distributed (default: --threads)",
-    )
-    closure.add_argument(
-        "--lease-timeout",
-        type=_positive_float,
-        default=30.0,
-        dest="lease_timeout",
-        help="seconds before an unrenewed pair lease is reissued "
-        "(--backend distributed)",
-    )
-    closure.add_argument(
-        "--max-inflight",
-        type=_positive_int,
-        default=None,
-        dest="max_inflight",
-        help="cap on concurrently leased pairs (--backend distributed)",
+        help="join kernel (default serial; matmul = per-label boolean "
+        "sparse matrix products, needs scipy)",
     )
     closure.set_defaults(func=_cmd_closure)
 
@@ -631,90 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     taint.set_defaults(func=_cmd_taint)
 
-    coordinator = sub.add_parser(
-        "coordinator",
-        help="distributed supersteps: serve pair leases for one closure",
-    )
-    coordinator.add_argument("--graph", required=True, help="text edge-list file")
-    coordinator.add_argument("--grammar", required=True, help="grammar text file")
-    coordinator.add_argument(
-        "--workdir",
-        required=True,
-        help="partition directory shared with the workers",
-    )
-    coordinator.add_argument("--host", default="127.0.0.1")
-    coordinator.add_argument(
-        "--port", type=int, default=0, help="0 picks a free port (announced on stderr)"
-    )
-    coordinator.add_argument(
-        "--max-edges-per-partition",
-        type=int,
-        default=None,
-        dest="max_edges_per_partition",
-    )
-    coordinator.add_argument(
-        "--memory-budget",
-        default=None,
-        dest="memory_budget",
-        help="coordinator-side resident-partition byte budget, e.g. 64M",
-    )
-    coordinator.add_argument(
-        "--lease-timeout",
-        type=_positive_float,
-        default=30.0,
-        dest="lease_timeout",
-        help="seconds before an unrenewed pair lease is reissued",
-    )
-    coordinator.add_argument(
-        "--max-inflight",
-        type=_positive_int,
-        default=None,
-        dest="max_inflight",
-        help="cap on concurrently leased pairs",
-    )
-    coordinator.add_argument(
-        "--worker-backend",
-        choices=("serial", "thread", "matmul"),
-        default=None,
-        dest="worker_backend",
-        help="join backend each worker runs locally (default serial)",
-    )
-    coordinator.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume from the last committed checkpoint in --workdir",
-    )
-    coordinator.add_argument(
-        "--no-checkpoint",
-        action="store_true",
-        dest="no_checkpoint",
-        help="disable the run journal + manifest",
-    )
-    coordinator.add_argument("--out", default=None, help="write full closure here")
-    coordinator.set_defaults(func=_cmd_coordinator)
-
-    worker = sub.add_parser(
-        "worker",
-        help="distributed supersteps: pull and compute pair leases",
-    )
-    worker.add_argument("--host", default="127.0.0.1")
-    worker.add_argument("--port", type=_positive_int, required=True)
-    worker.add_argument(
-        "--workdir",
-        required=True,
-        help="partition directory shared with the coordinator",
-    )
-    worker.add_argument(
-        "--worker-id", default="worker", dest="worker_id", help="name in telemetry"
-    )
-    worker.add_argument(
-        "--memory-budget",
-        default=None,
-        dest="memory_budget",
-        help="worker-side partition-cache byte budget, e.g. 64M",
-    )
-    worker.set_defaults(func=_cmd_worker)
-
     serve = sub.add_parser(
         "serve", help="closure-as-a-service daemon over a persistent store"
     )
@@ -727,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-edges-per-partition",
-        type=int,
+        type=_positive_int,
         default=None,
         dest="max_edges_per_partition",
     )
@@ -737,12 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="memory_budget",
         help="resident-partition byte budget per closure, e.g. 64M",
     )
-    serve.add_argument("--threads", type=int, default=1)
-    serve.add_argument(
-        "--backend",
-        choices=("serial", "thread", "process", "matmul"),
-        default=None,
-    )
+    serve.add_argument("--backend", choices=BACKENDS, default=None)
     serve.add_argument(
         "--workers",
         type=_positive_int,
@@ -759,14 +505,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--request-timeout",
-        type=float,
+        type=_positive_float,
         default=None,
         dest="request_timeout",
         help="per-request deadline in seconds (default: none)",
     )
     serve.add_argument(
         "--drain-grace",
-        type=float,
+        type=_nonnegative_float,
         default=10.0,
         dest="drain_grace",
         help="seconds SIGTERM waits for in-flight requests before stopping",
@@ -796,8 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument(
         "--full",
         action="store_true",
-        help="widen the config matrix with the process pool and "
-        "degenerate-partition configurations",
+        help="widen the config matrix with the degenerate-partition "
+        "configuration",
     )
     fuzz.add_argument(
         "--configs",

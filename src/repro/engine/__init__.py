@@ -18,13 +18,9 @@ from repro.engine.parallel import (
     BACKENDS,
     JoinBackend,
     JoinTelemetry,
-    ProcessJoinBackend,
     SerialJoinBackend,
-    ThreadJoinBackend,
     make_backend,
-    shared_memory_available,
 )
-from repro.engine.pipeline import IoPipeline, PendingCommit
 from repro.engine.scheduler import RoundRobinScheduler, Scheduler
 from repro.engine.session import (
     ClosureSession,
@@ -52,13 +48,8 @@ __all__ = [
     "JoinTelemetry",
     "MatmulJoinBackend",
     "scipy_available",
-    "ProcessJoinBackend",
     "SerialJoinBackend",
-    "ThreadJoinBackend",
     "make_backend",
-    "shared_memory_available",
-    "IoPipeline",
-    "PendingCommit",
     "ClosureSession",
     "SessionStateError",
     "record_added_edges",

@@ -2,8 +2,8 @@
 
 :class:`GraspanEngine` is the *configuration* layer (§4): grammar,
 partition sizing, residency budget, backend and durability policy.  The
-run machinery itself — ingest, the superstep loop, checkpoint/pipeline
-wiring, lifecycle — lives in :class:`repro.engine.session.ClosureSession`
+run machinery itself — ingest, the superstep loop, checkpoint wiring,
+lifecycle — lives in :class:`repro.engine.session.ClosureSession`
 (DESIGN.md §14); :meth:`GraspanEngine.run` is a thin one-shot wrapper
 that opens a session, drives it to the fixed point, and closes it.  The
 result object exposes the paper's reporting APIs — iterate edges with a
@@ -13,9 +13,8 @@ statistics behind Tables 5-6 and Figure 4.
 
 from __future__ import annotations
 
-import warnings
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -66,24 +65,8 @@ class GraspanComputation:
             self.pset.acquire(pid)
         return self
 
-    def iter_edges_with_label(self, label: "int | str") -> Iterator[Tuple[int, int]]:
-        """Deprecated: iterate ``(src, dst)`` pairs carrying ``label`` (§4.4).
-
-        Use :meth:`edges_with_label_arrays` — the vectorized form this
-        wrapper now delegates to.  Kept only so old notebooks keep
-        running; emits :class:`DeprecationWarning`.
-        """
-        warnings.warn(
-            "iter_edges_with_label is deprecated; use "
-            "edges_with_label_arrays for parallel (src, dst) arrays",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        src, dst = self.edges_with_label_arrays(label)
-        return iter(zip(src.tolist(), dst.tolist()))
-
     def edges_with_label_arrays(self, label: "int | str") -> Tuple[np.ndarray, np.ndarray]:
-        """All ``(src, dst)`` pairs of edges carrying ``label``, as arrays.
+        """All ``(src, dst)`` pairs of edges carrying ``label``, as arrays (§4.4).
 
         For the pointer analysis, label ``OF`` yields the points-to
         solution and ``AL`` the alias pairs.  One mask per partition over
@@ -149,24 +132,12 @@ class GraspanEngine:
     workdir:
         Directory for partition files.  ``None`` keeps all partitions
         resident (only sensible with small graphs).
-    num_threads:
-        Workers for the parallel join (the paper used 8) — threads for
-        the ``thread`` backend, processes for ``process``.
     parallel_backend:
-        Which join data plane to use: ``"serial"``, ``"thread"``,
-        ``"process"`` (shared-memory worker pool, the only one that
-        escapes the GIL), or ``"matmul"`` (per-label boolean sparse
-        matrix products, DESIGN.md §11 — the fastest superstep compute
-        on dense closures).  ``None`` auto-selects from ``num_threads``:
-        ``thread`` when ``num_threads > 1``, else ``serial``.  The pool
-        is created once per :meth:`run` and reused across supersteps;
-        ``process`` falls back to ``thread`` when shared memory is
-        unavailable and ``matmul`` falls back to ``serial`` when scipy
-        is not installed.  ``"distributed"`` (DESIGN.md §16) fans the
-        pair schedule out over ``num_threads`` coordinator-leased worker
-        threads sharing only the workdir's partition files — it requires
-        a ``workdir``.  Every backend produces the byte-identical
-        closure.
+        Which join kernel to use: ``"serial"`` (the default, also chosen
+        by ``None``) or ``"matmul"`` (per-label boolean sparse matrix
+        products, DESIGN.md §11 — the fastest superstep compute on dense
+        closures; falls back to ``serial`` when scipy is not installed).
+        Both produce the byte-identical closure.
     memory_budget:
         Resident-partition byte budget (requires ``workdir``).  The
         loaded superstep pair is pinned; everything else is evicted
@@ -179,34 +150,13 @@ class GraspanEngine:
         run can continue via ``run(graph, resume=True)`` (DESIGN.md §9).
         ``None`` (the default) auto-enables checkpointing whenever a
         ``workdir`` is set; ``True`` requires one; ``False`` disables it.
-    pipeline:
-        Overlap disk I/O with compute (DESIGN.md §10): a background I/O
-        thread speculatively prefetches the scheduler's predicted next
-        pair while the current superstep computes, and dirty partitions
-        are flushed asynchronously with the checkpoint commit lagging
-        one superstep (the flush → commit → purge ordering is
-        preserved, so crash/resume semantics are unchanged).  ``None``
-        (the default) auto-enables the pipeline whenever a ``workdir``
-        is set; ``True`` requires one; ``False`` forces the sequential
-        load/compute/flush loop.  The closure is byte-identical either
-        way — only the wall-clock interleaving changes.
     fault_injector:
         A :class:`repro.util.faults.FaultInjector` threaded through the
-        partition store, the run journal, and the process join backend —
-        the deterministic crash/corruption test hook.  ``None`` in
-        production.
+        partition store and the run journal — the deterministic
+        crash/corruption test hook.  ``None`` in production.
     retry:
         :class:`repro.util.retry.RetryPolicy` for transient store I/O
         errors; defaults to 3 attempts with exponential backoff.
-    distributed:
-        Options for the ``"distributed"`` backend (ignored otherwise):
-        ``workers`` (lease-worker count, default ``num_threads``),
-        ``lease_timeout`` (seconds before an unrenewed lease is
-        reissued, default 30), ``max_inflight`` (cap on concurrent
-        leases), ``worker_backend``/``worker_threads`` (the join
-        backend each worker runs locally), and
-        ``worker_memory_budget`` (per-worker residency budget in
-        bytes, default the engine's ``memory_budget``).
     """
 
     def __init__(
@@ -215,27 +165,19 @@ class GraspanEngine:
         max_edges_per_partition: Optional[int] = None,
         num_partitions: Optional[int] = None,
         workdir: Optional[PathLike] = None,
-        num_threads: int = 1,
         scheduler: Optional[Scheduler] = None,
         max_supersteps: int = 1_000_000,
         repartition_growth: float = 2.0,
         parallel_backend: Optional[str] = None,
         memory_budget: Optional[int] = None,
         checkpoint: Optional[bool] = None,
-        pipeline: Optional[bool] = None,
         fault_injector: Optional[FaultInjector] = None,
         retry: Optional[RetryPolicy] = None,
-        distributed: Optional[Dict[str, object]] = None,
     ) -> None:
         if parallel_backend is not None and parallel_backend not in BACKENDS:
             raise ValueError(
                 f"unknown parallel_backend {parallel_backend!r}; "
                 f"choose from {BACKENDS}"
-            )
-        if parallel_backend == "distributed" and workdir is None:
-            raise ValueError(
-                "the distributed backend requires a workdir: coordinator "
-                "and workers share nothing but the partition files in it"
             )
         if memory_budget is not None:
             if memory_budget <= 0:
@@ -250,26 +192,18 @@ class GraspanEngine:
                 "checkpoint requires a workdir: the journal and manifest "
                 "live in the partition store directory"
             )
-        if pipeline and workdir is None:
-            raise ValueError(
-                "pipeline requires a workdir: without disk backing there "
-                "is no I/O to overlap with compute"
-            )
         self.grammar = grammar
         self.max_edges_per_partition = max_edges_per_partition
         self.num_partitions = num_partitions
         self.workdir = workdir
-        self.num_threads = num_threads
         self.parallel_backend = parallel_backend
         self.scheduler = scheduler if scheduler is not None else Scheduler()
         self.max_supersteps = max_supersteps
         self.repartition_growth = repartition_growth
         self.memory_budget = memory_budget
         self.checkpoint = checkpoint
-        self.pipeline = pipeline
         self.fault_injector = fault_injector
         self.retry = retry
-        self.distributed = dict(distributed) if distributed else {}
 
     # ------------------------------------------------------------------
     def session(self, graph: MemGraph, resume: bool = False, **kwargs):

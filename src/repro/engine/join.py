@@ -16,7 +16,7 @@ accompanied by its derived ``VF`` edge, etc.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -182,27 +182,3 @@ def join_edges(
         return packed.EMPTY, packed.EMPTY
     return np.concatenate(out_src), np.concatenate(out_keys)
 
-
-def join_edges_chunked(
-    left_src: np.ndarray,
-    left_keys: np.ndarray,
-    rights: Sequence[CsrView],
-    grammar: FrozenGrammar,
-    head_mask: np.ndarray,
-    num_threads: int = 1,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Join against several right views, optionally across a thread pool.
-
-    Chunking over the left edges mirrors Algorithm 1's per-vertex
-    parallelism ("create a separate thread to process each vertex"); the
-    result is identical regardless of chunk boundaries because duplicates
-    are eliminated downstream.
-
-    Convenience wrapper over the :mod:`repro.engine.parallel` backends
-    for one-shot joins; the engine itself holds a persistent backend so
-    pools and shared-memory snapshots survive across supersteps.
-    """
-    from repro.engine.parallel import make_backend
-
-    with make_backend(None, grammar, num_threads, head_mask=head_mask) as backend:
-        return backend.join_arrays(left_src, left_keys, rights)

@@ -35,7 +35,6 @@ back per-call to the bit-identical edge-pair kernel.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -80,7 +79,6 @@ class MatmulJoinBackend(JoinBackend):
     def __init__(
         self,
         grammar: FrozenGrammar,
-        num_workers: int = 1,
         head_mask: Optional[np.ndarray] = None,
         requested: Optional[str] = None,
     ) -> None:
@@ -89,7 +87,7 @@ class MatmulJoinBackend(JoinBackend):
                 "scipy is required for the matmul join backend "
                 "(pip install 'repro[matmul]')"
             )
-        super().__init__(grammar, num_workers, head_mask, requested)
+        super().__init__(grammar, head_mask, requested)
         #: Operand dimension for the current superstep.  Vertices never
         #: appear mid-superstep that were absent at initialization (joins
         #: and the unary closure only recombine existing endpoints), so
@@ -105,8 +103,10 @@ class MatmulJoinBackend(JoinBackend):
     def begin_superstep(self) -> None:
         super().begin_superstep()
         self._dim = 0
+        self._view_blocks = {}
+        self._retired_blocks = {}
 
-    def _release_published(self) -> None:
+    def begin_iteration(self) -> None:
         # Rotate instead of dropping: the superstep announces the next
         # O = O ∪ D via note_union right after begin_iteration, and the
         # union is built from these retired blocks.
@@ -116,7 +116,6 @@ class MatmulJoinBackend(JoinBackend):
     def end_superstep(self) -> None:
         self._view_blocks = {}
         self._retired_blocks = {}
-        super().end_superstep()
 
     # -- dimension management -------------------------------------------
     @staticmethod
@@ -233,17 +232,12 @@ class MatmulJoinBackend(JoinBackend):
     # -- joining ---------------------------------------------------------
     def _inline(self, left_src, left_keys, rights):
         """Edge-pair fallback for id spaces too sparse to matmul."""
-        results: List[Tuple[np.ndarray, np.ndarray]] = []
-        started = time.perf_counter()
-        for right in rights:
-            results.append(
+        return self._concat(
+            [
                 join_edges(left_src, left_keys, right, self.grammar, self.head_mask)
-            )
-            self.telemetry.record_chunks([len(left_src)])
-        elapsed = time.perf_counter() - started
-        self.telemetry.pool_seconds += elapsed
-        self.telemetry.serial_estimate_seconds += elapsed
-        return self._concat(results)
+                for right in rights
+            ]
+        )
 
     def _multiply(
         self,
@@ -289,7 +283,6 @@ class MatmulJoinBackend(JoinBackend):
         )
         if not self._ensure_dim(needed):
             return self._inline(left_src, left_keys, rights)
-        started = time.perf_counter()
         cached = self._view_blocks.get(id(left_view))
         if cached is not None:
             left_blocks = cached[1]
@@ -297,12 +290,7 @@ class MatmulJoinBackend(JoinBackend):
             left_blocks = self._build_blocks(left_src, left_keys)
             self._view_blocks[id(left_view)] = (left_view, left_blocks)
         right_blocks_list = [self._blocks_for_view(r) for r in rights]
-        src, keys = self._multiply(left_blocks, right_blocks_list)
-        elapsed = time.perf_counter() - started
-        self.telemetry.record_chunks([len(left_src)] * len(rights))
-        self.telemetry.pool_seconds += elapsed
-        self.telemetry.serial_estimate_seconds += elapsed
-        return src, keys
+        return self._multiply(left_blocks, right_blocks_list)
 
     def join_arrays(self, left_src, left_keys, rights):
         """One-shot join over raw arrays (no snapshot to cache against)."""
@@ -315,12 +303,6 @@ class MatmulJoinBackend(JoinBackend):
         )
         if not self._ensure_dim(needed):
             return self._inline(left_src, left_keys, rights)
-        started = time.perf_counter()
         left_blocks = self._build_blocks(left_src, left_keys)
         right_blocks_list = [self._blocks_for_view(r) for r in rights]
-        src, keys = self._multiply(left_blocks, right_blocks_list)
-        elapsed = time.perf_counter() - started
-        self.telemetry.record_chunks([len(left_src)] * len(rights))
-        self.telemetry.pool_seconds += elapsed
-        self.telemetry.serial_estimate_seconds += elapsed
-        return src, keys
+        return self._multiply(left_blocks, right_blocks_list)

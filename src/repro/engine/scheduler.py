@@ -48,58 +48,15 @@ class Scheduler:
         self,
         ddm: DestinationDistributionMap,
         resident_pids: Sequence[int],
-        exclude_pids: Sequence[int] = (),
     ) -> Optional[Tuple[int, int]]:
         """The next pair to load, or None when the computation finished.
 
         A returned pair may be ``(p, p)``: a single partition whose
         internal delta is the only remaining work.
-
-        ``exclude_pids`` drops every pair touching those partitions
-        before selection — the distributed coordinator's way of issuing
-        additional concurrent leases that are disjoint from in-flight
-        work while keeping the exact deterministic ordering policy.
-        With no exclusions the selection is unchanged.
         """
-        return self._select(
-            ddm, resident_pids, assume_synced=None, exclude_pids=exclude_pids
-        )
-
-    def peek_pair(
-        self,
-        ddm: DestinationDistributionMap,
-        resident_pids: Sequence[int],
-        assume_synced: Optional[Sequence[int]] = None,
-    ) -> Optional[Tuple[int, int]]:
-        """Predict the pair that will run *after* ``assume_synced`` completes.
-
-        The prediction simulates the currently loaded pair reaching its
-        fixed point (its DDM cells synced) without mutating the map, then
-        applies the exact :meth:`choose_pair` policy.  It cannot know
-        which edges the in-flight superstep will add, so it is a
-        heuristic — exactly what the I/O pipeline needs to start loading
-        the likely next partitions while the join computes; a wrong guess
-        costs one wasted prefetch, never correctness.
-        """
-        return self._select(ddm, resident_pids, assume_synced=assume_synced)
-
-    def _select(
-        self,
-        ddm: DestinationDistributionMap,
-        resident_pids: Sequence[int],
-        assume_synced: Optional[Sequence[int]],
-        exclude_pids: Sequence[int] = (),
-    ) -> Optional[Tuple[int, int]]:
-        ps, qs, scores = ddm.pair_scores(assume_synced=assume_synced)
+        ps, qs, scores = ddm.pair_scores()
         if len(ps) == 0:
             return None
-        if len(exclude_pids):
-            busy = np.zeros(ddm.num_partitions, dtype=bool)
-            busy[list(exclude_pids)] = True
-            free = ~(busy[ps] | busy[qs])
-            if not free.any():
-                return None
-            ps, qs, scores = ps[free], qs[free], scores[free]
         best_score = int(scores.max())
         threshold = best_score * (1.0 - self.slack)
         keep = scores >= threshold

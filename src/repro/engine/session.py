@@ -1,13 +1,13 @@
 """The closure session: open → run/resume → query → close (DESIGN.md §14).
 
 Historically :meth:`GraspanEngine.run` was a god-method: graph ingest,
-checkpoint restore, pipeline wiring, the superstep loop, commit
-ordering, telemetry teardown and result construction all lived in one
-function.  That was fine for a one-shot batch tool but is hostile to a
-long-lived serving tier: a daemon needs the lifecycle *split open* so it
-can hold many closures at different stages at once, resume one while
-querying another, and seed a session from a cached closure instead of a
-raw graph.
+checkpoint restore, the superstep loop, commit ordering, telemetry
+teardown and result construction all lived in one function.  That was
+fine for a one-shot batch tool but is hostile to a long-lived serving
+tier: a daemon needs the lifecycle *split open* so it can hold many
+closures at different stages at once, resume one while querying
+another, and seed a session from a cached closure instead of a raw
+graph.
 
 :class:`ClosureSession` is that split.  One session owns exactly one
 closure computation over one graph:
@@ -15,13 +15,14 @@ closure computation over one graph:
 ``open()``
     Ingest (align labels, preprocess into partitions) or restore (from a
     checkpoint manifest, or from a :class:`~repro.engine.store.ClosureStore`
-    delta seed), then wire the residency budget, the run journal, the
-    I/O pipeline, and the join backend.
+    delta seed), then wire the residency budget, the run journal, and
+    the join backend.
 
 ``run()`` / ``step()``
     Drive the superstep loop to the fixed point — ``step()`` runs one
-    scheduler-chosen superstep so callers may interleave their own work;
-    ``run()`` loops it and finalizes.
+    scheduler-chosen superstep (load → join → merge → flush → commit)
+    so callers may interleave their own work; ``run()`` loops it and
+    finalizes.
 
 ``computation``
     The query surface: after ``run()`` the finished
@@ -29,12 +30,11 @@ closure computation over one graph:
     statistics queries (the daemon serves checker queries against it).
 
 ``close()``
-    Release the join backend and the I/O pipeline and fold their
-    telemetry into the session's stats.  Idempotent; the context-manager
-    form guarantees it even when a superstep raises.
+    Release the join backend.  Idempotent; the context-manager form
+    guarantees it even when a superstep raises.
 
-Every piece of mutable run state — scheduler, stats, pipeline, pending
-commit — is *session-scoped*, so concurrent sessions built from one
+Every piece of mutable run state — scheduler, stats, backend — is
+*session-scoped*, so concurrent sessions built from one
 :class:`~repro.engine.engine.GraspanEngine` configuration never share
 telemetry or scheduling state (the daemon runs many sessions at once).
 """
@@ -56,7 +56,6 @@ from repro.engine.checkpoint import (
 )
 from repro.engine.join import CsrView
 from repro.engine.parallel import JoinBackend, make_backend
-from repro.engine.pipeline import IoPipeline, PendingCommit
 from repro.engine.scheduler import Scheduler
 from repro.engine.stats import EngineStats, SuperstepRecord
 from repro.engine.superstep import run_superstep
@@ -81,7 +80,7 @@ class ClosureSession:
     engine:
         The :class:`~repro.engine.engine.GraspanEngine` carrying the run
         *configuration* (grammar, partition sizing, budget, backend,
-        checkpoint/pipeline policy).  The engine is treated as read-only
+        checkpoint policy).  The engine is treated as read-only
         configuration — many sessions may share one engine concurrently.
     graph:
         The input graph.  Labels are aligned to the grammar in ``open``.
@@ -128,8 +127,6 @@ class ClosureSession:
         self._finished = False
         self._closed = False
         self._backend: Optional[JoinBackend] = None
-        self._io: Optional[IoPipeline] = None
-        self._pending: Optional[PendingCommit] = None
         self._mid_limit = 0
         self._computation = None
 
@@ -261,29 +258,7 @@ class ClosureSession:
                 self._commit_checkpoint()
 
         self._mid_limit = engine.mid_superstep_limit()
-        if engine.parallel_backend == "distributed":
-            # Workers overlap their own reads with the coordinator's
-            # applies; the coordinator itself commits synchronously per
-            # superstep so every lease leaves a durable resume point.
-            pipeline_on = False
-        else:
-            pipeline_on = (
-                engine.workdir is not None and pset.store.disk_backed
-                if engine.pipeline is None
-                else bool(engine.pipeline)
-            )
-        self._io = IoPipeline() if pipeline_on else None
-        stats.pipeline_enabled = self._io is not None
-        if self._io is not None:
-            pset.attach_io(self._io)
-
-        # The backend (and its worker pool / shared segments) lives for
-        # the whole session; close() guarantees shutdown.
-        self._backend = make_backend(
-            engine.parallel_backend, engine.grammar, engine.num_threads
-        )
-        self._backend.__enter__()
-        self._backend.injector = engine.fault_injector
+        self._backend = make_backend(engine.parallel_backend, engine.grammar)
         self._opened = True
         return self
 
@@ -293,13 +268,8 @@ class ClosureSession:
             raise SessionStateError("open() the session before stepping")
         if self._finished:
             return False
-        engine = self.engine
-        pset, io, stats = self.pset, self._io, self.stats
-        pair = self.scheduler.choose_pair(
-            pset.ddm, pset.scheduling_resident_pids()
-        )
-        if io is not None:
-            pset.reconcile_prefetch(pair if pair else ())
+        engine, pset, stats = self.engine, self.pset, self.stats
+        pair = self.scheduler.choose_pair(pset.ddm, pset.resident_pids())
         if pair is None:
             return False
         if len(stats.supersteps) >= engine.max_supersteps:
@@ -307,20 +277,10 @@ class ClosureSession:
                 f"exceeded max_supersteps={engine.max_supersteps}; "
                 "the computation may be diverging"
             )
-        before = io.snapshot() if io is not None else None
         self._run_one_superstep(pair)
         self.superstep_index += 1
         if self.journal is not None:
-            if io is None:
-                self._commit_checkpoint()
-            else:
-                # Lagged commit: make the *previous* superstep durable
-                # (its flushes have had a whole superstep to complete in
-                # the background), then queue this one.
-                self._drain_commit()
-                self._pending = self._begin_commit()
-        if before is not None:
-            self._record_pipeline_delta(before)
+            self._commit_checkpoint()
         return True
 
     def run(self):
@@ -329,18 +289,8 @@ class ClosureSession:
             raise SessionStateError("open() the session before running")
         if self._computation is not None:
             return self._computation
-        try:
-            if self.engine.parallel_backend == "distributed":
-                from repro.distributed.coordinator import run_distributed
-
-                run_distributed(self)
-            else:
-                while self.step():
-                    pass
-            if self.journal is not None and self._io is not None:
-                self._drain_commit()
-        finally:
-            self._harvest_backend()
+        while self.step():
+            pass
         self._finished = True
         return self._finalize()
 
@@ -350,50 +300,19 @@ class ClosureSession:
         return self._computation
 
     def close(self) -> None:
-        """Release the backend and pipeline, folding in their telemetry."""
+        """Release the join backend."""
         if self._closed:
             return
         self._closed = True
-        self._harvest_backend()
-        if self._backend is not None:
-            backend, self._backend = self._backend, None
-            backend.__exit__(None, None, None)
-        io = self._io
-        if io is not None:
-            self._io = None
-            stats = self.stats
-            if stats is not None:
-                snap = io.snapshot()
-                stats.prefetch_issued = int(snap["prefetch_issued"])
-                stats.prefetch_hits = int(snap["prefetch_hits"])
-                stats.prefetch_wasted = int(snap["prefetch_wasted"])
-                stats.load_wait_seconds = snap["load_wait_seconds"]
-                stats.flush_wait_seconds = snap["flush_wait_seconds"]
-                stats.io_busy_seconds = snap["busy_seconds"]
-                stats.io_hidden_seconds = io.hidden_seconds
-                stats.overlap_fraction = io.overlap_fraction
-            if self.pset is not None:
-                self.pset.detach_io()
-            io.close()
+        self._backend = None
 
     # ------------------------------------------------------------------
     # internals (extracted verbatim from the old GraspanEngine.run body)
     # ------------------------------------------------------------------
-    def _harvest_backend(self) -> None:
-        if self._backend is not None and self.stats is not None:
-            self.stats.worker_respawns = getattr(
-                self._backend, "worker_respawns", 0
-            )
-            self.stats.backend_degraded = bool(
-                getattr(self._backend, "_degraded", False)
-            )
-
     def _finalize(self):
         from repro.engine.engine import GraspanComputation
 
         pset, stats = self.pset, self.stats
-        # Fold pipeline counters in *before* the final eviction sweep so
-        # the stats the caller sees are complete even without close().
         self.close()
         if pset.store.disk_backed:
             pset.evict_all_except(())
@@ -421,33 +340,6 @@ class ClosureSession:
             self.pset.store.purge_retired()
         stats.add_counter("checkpoints_written")
 
-    def _begin_commit(self) -> PendingCommit:
-        """Queue this superstep's checkpoint on the pipeline."""
-        stats = self.stats
-        with stats.timers.phase("checkpoint"):
-            flushes = self.pset.begin_flush()
-            manifest = self._manifest()
-            mark = self.pset.store.retire_mark()
-        return PendingCommit(
-            superstep=self.superstep_index,
-            manifest=manifest,
-            flushes=flushes,
-            retire_upto=mark,
-        )
-
-    def _drain_commit(self) -> None:
-        """Make the queued checkpoint durable: wait flushes, commit, purge."""
-        pending, self._pending = self._pending, None
-        if pending is None:
-            return
-        stats = self.stats
-        with stats.timers.phase("checkpoint"):
-            for future in pending.flushes:
-                self._io.wait_flush(future)
-            self.journal.commit(pending.manifest)
-            self.pset.store.purge_retired(upto=pending.retire_upto)
-        stats.add_counter("checkpoints_written")
-
     def _manifest(self) -> Dict[str, object]:
         stats = self.stats
         return build_manifest(
@@ -459,26 +351,6 @@ class ClosureSession:
             original_edges=stats.original_edges,
             initial_partitions=stats.initial_partitions,
             repartition_count=stats.repartition_count,
-        )
-
-    def _record_pipeline_delta(self, before: Dict[str, float]) -> None:
-        """Stamp the just-finished superstep's record with pipeline deltas."""
-        after = self._io.snapshot()
-        record = self.stats.supersteps[-1]
-        record.prefetch_issued = int(
-            after["prefetch_issued"] - before["prefetch_issued"]
-        )
-        record.prefetch_hits = int(
-            after["prefetch_hits"] - before["prefetch_hits"]
-        )
-        record.prefetch_wasted = int(
-            after["prefetch_wasted"] - before["prefetch_wasted"]
-        )
-        record.load_wait_seconds = (
-            after["load_wait_seconds"] - before["load_wait_seconds"]
-        )
-        record.flush_wait_seconds = (
-            after["flush_wait_seconds"] - before["flush_wait_seconds"]
         )
 
     def _snapshot_residency(self) -> None:
@@ -497,8 +369,7 @@ class ClosureSession:
         stats.files_purged = pset.store.files_purged
 
     def _run_one_superstep(self, pair: Tuple[int, int]) -> None:
-        engine, pset, stats, io = self.engine, self.pset, self.stats, self._io
-        backend = self._backend
+        engine, pset, stats = self.engine, self.pset, self.stats
         p, q = min(pair), max(pair)
         loaded = (p,) if p == q else (p, q)
         with pset.pinned(*loaded):
@@ -507,21 +378,6 @@ class ClosureSession:
                 # not needed next are evicted.
                 pset.evict_all_except(loaded)
             parts = [pset.acquire(pid) for pid in loaded]
-
-            # Speculative prefetch: predict the pair that runs after this
-            # one and start loading its non-resident members on the I/O
-            # thread while the join below computes.
-            peek = getattr(self.scheduler, "peek_pair", None)
-            if io is not None and peek is not None:
-                predicted = peek(
-                    pset.ddm,
-                    pset.scheduling_resident_pids(),
-                    assume_synced=loaded,
-                )
-                if predicted is not None:
-                    for pid in dict.fromkeys(predicted):
-                        if pid not in loaded and not pset.is_resident(pid):
-                            pset.prefetch(pid)
 
             # Combine the loaded CSRs by concatenation: p < q, so their
             # vertex ranges are disjoint and already ordered.
@@ -533,8 +389,7 @@ class ClosureSession:
                     combined,
                     engine.grammar,
                     memory_limit_edges=self._mid_limit,
-                    num_threads=engine.num_threads,
-                    backend=backend,
+                    backend=self._backend,
                 )
             seconds = watch.stop()
 
@@ -574,25 +429,11 @@ class ClosureSession:
                 seconds=seconds,
                 completed=result.completed,
                 num_partitions_after=pset.num_partitions,
-                backend=telemetry.backend if telemetry else "serial",
-                chunk_count=telemetry.chunk_count if telemetry else 0,
-                chunk_balance=telemetry.chunk_balance if telemetry else 1.0,
-                pool_seconds=telemetry.pool_seconds if telemetry else 0.0,
-                serial_estimate_seconds=(
-                    telemetry.serial_estimate_seconds if telemetry else 0.0
-                ),
-                worker_respawns=telemetry.worker_respawns if telemetry else 0,
-                backend_degraded=(
-                    telemetry.backend_degraded if telemetry else False
-                ),
-                matmul_blocks_built=(
-                    telemetry.matmul_blocks_built if telemetry else 0
-                ),
-                matmul_blocks_reused=(
-                    telemetry.matmul_blocks_reused if telemetry else 0
-                ),
-                matmul_products=telemetry.matmul_products if telemetry else 0,
-                matmul_nnz=telemetry.matmul_nnz if telemetry else 0,
+                backend=telemetry.backend,
+                matmul_blocks_built=telemetry.matmul_blocks_built,
+                matmul_blocks_reused=telemetry.matmul_blocks_reused,
+                matmul_products=telemetry.matmul_products,
+                matmul_nnz=telemetry.matmul_nnz,
             )
         )
 

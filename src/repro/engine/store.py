@@ -171,7 +171,7 @@ class ClosureStore:
         Directory holding one subdirectory per cache entry, named
         ``<grammar_crc>-<graph_crc>`` in hex.
     max_edges_per_partition / num_partitions / memory_budget /
-    num_threads / parallel_backend / fault_injector / retry:
+    parallel_backend / fault_injector / retry:
         Engine configuration applied to every closure the store computes
         (each entry directory becomes that run's workdir).  When an
         analysis is handed a store, this configuration wins over the
@@ -191,7 +191,6 @@ class ClosureStore:
         max_edges_per_partition: Optional[int] = None,
         num_partitions: Optional[int] = None,
         memory_budget: Optional[int] = None,
-        num_threads: int = 1,
         parallel_backend: Optional[str] = None,
         fault_injector=None,
         retry: Optional[RetryPolicy] = None,
@@ -201,7 +200,6 @@ class ClosureStore:
         self.max_edges_per_partition = max_edges_per_partition
         self.num_partitions = num_partitions
         self.memory_budget = memory_budget
-        self.num_threads = num_threads
         self.parallel_backend = parallel_backend
         self.fault_injector = fault_injector
         self.retry = retry
@@ -272,7 +270,7 @@ class ClosureStore:
         on-disk state (checksum mismatch, truncated payload, manifest
         inconsistency) *degrades to a cold run* instead of failing the
         request: the bad entry is discarded, a one-shot warning is
-        emitted (mirroring the join backend's ``_degrade``), and
+        emitted, and
         ``degraded_to_cold`` counts every occurrence for the daemon's
         health report.  Injected crashes are never absorbed here.
         """
@@ -368,7 +366,6 @@ class ClosureStore:
             max_edges_per_partition=self.max_edges_per_partition,
             num_partitions=self.num_partitions,
             workdir=entry,
-            num_threads=self.num_threads,
             parallel_backend=self.parallel_backend,
             memory_budget=self.memory_budget,
             checkpoint=True,

@@ -51,7 +51,7 @@ class SuperstepResult:
     added_keys: np.ndarray  # packed (target, label) of every edge added
     iterations: int
     completed: bool  # False if stopped early by the memory limit
-    telemetry: Optional["JoinTelemetry"] = None  # backend parallelism counters
+    telemetry: Optional["JoinTelemetry"] = None  # backend counters
     _adjacency: Optional[Dict[int, np.ndarray]] = field(
         default=None, repr=False, compare=False
     )
@@ -284,9 +284,9 @@ def _group_candidates(
 ) -> List[Tuple[int, np.ndarray]]:
     """Sort/dedup raw join output and group it by source vertex.
 
-    Safe on empty input (a per-worker shard of the process backend can
-    legitimately produce nothing): returns an empty list rather than
-    tripping over the degenerate ``[0, 0]`` boundary array.
+    Safe on empty input (a join can legitimately produce nothing):
+    returns an empty list rather than tripping over the degenerate
+    ``[0, 0]`` boundary array.
     """
     if len(cand_src) == 0:
         return []
@@ -303,7 +303,6 @@ def run_superstep(
     adjacency: Union[Mapping, CsrView],
     grammar: FrozenGrammar,
     memory_limit_edges: int = 0,
-    num_threads: int = 1,
     backend: Optional["JoinBackend"] = None,
 ) -> SuperstepResult:
     """Run Algorithm 1 to a fixed point over ``adjacency``.
@@ -315,18 +314,13 @@ def run_superstep(
     early-stop check.
 
     All edge-pair joins route through ``backend`` (a
-    :class:`~repro.engine.parallel.JoinBackend`).  When ``backend`` is
-    None a transient one is built from ``num_threads`` (the historical
-    behaviour: a thread pool when ``num_threads > 1``) and torn down
-    before returning.
+    :class:`~repro.engine.parallel.JoinBackend`); None means the serial
+    join.
     """
-    from repro.engine.parallel import make_backend
-
     if backend is None:
-        with make_backend(None, grammar, num_threads) as owned:
-            return run_superstep(
-                adjacency, grammar, memory_limit_edges, num_threads, owned
-            )
+        from repro.engine.parallel import SerialJoinBackend
+
+        backend = SerialJoinBackend(grammar)
 
     backend.begin_superstep()
 

@@ -3,7 +3,7 @@
 One :class:`FuzzCase` is closed twice — by the semi-naive Datalog engine
 (:mod:`repro.baselines.datalog`, the independent semantics) and by the
 Graspan engine under every :class:`EngineConfig` in the matrix (backend
-× pipeline × memory budget × cold/resume).  Three properties are
+× memory budget × partition size × cold/resume).  Three properties are
 enforced per case:
 
 * **oracle equality** — the engine's closure, as a set of
@@ -41,8 +41,6 @@ class EngineConfig:
 
     name: str
     backend: Optional[str] = None  # None -> engine default (serial)
-    num_threads: int = 1
-    pipeline: Optional[bool] = False
     memory_budget: Optional[int] = None
     #: ``None`` derives a size that forces several partitions.
     max_edges_per_partition: Optional[int] = None
@@ -52,8 +50,6 @@ class EngineConfig:
 
     def describe(self) -> str:
         bits = [self.backend or "serial"]
-        if self.pipeline:
-            bits.append("pipeline")
         if self.memory_budget is not None:
             bits.append(f"budget={self.memory_budget}")
         if self.resume:
@@ -61,25 +57,20 @@ class EngineConfig:
         return "+".join(bits)
 
 
-#: The default matrix: serial reference, threaded pipelined, the sparse
-#: matmul kernel, and a budgeted crash/resume configuration.
+#: The default matrix: serial reference, the sparse matmul kernel, and a
+#: budgeted crash/resume configuration.
 DEFAULT_CONFIGS: Tuple[EngineConfig, ...] = (
     EngineConfig("serial"),
-    EngineConfig("thread-pipeline", backend="thread", num_threads=2, pipeline=True),
     EngineConfig("matmul", backend="matmul"),
     EngineConfig(
         "budget-resume", memory_budget=256 * 1024, resume=True
     ),
 )
 
-#: The widened matrix for the CLI / CI sweep: adds the process pool, a
-#: degenerate-partition configuration (every partition near-minimal),
-#: and the coordinator/worker lease protocol with two in-process workers
-#: (``workers`` defaults to ``num_threads`` for the distributed tier).
+#: The widened matrix for the CLI / CI sweep: adds a degenerate-partition
+#: configuration (every partition near-minimal).
 FULL_CONFIGS: Tuple[EngineConfig, ...] = DEFAULT_CONFIGS + (
-    EngineConfig("process", backend="process", num_threads=2),
     EngineConfig("degenerate-partitions", max_edges_per_partition=2),
-    EngineConfig("distributed-2w", backend="distributed", num_threads=2),
 )
 
 
@@ -157,10 +148,8 @@ def _make_engine(
         case.grammar,
         max_edges_per_partition=_derived_max_edges(case, config),
         workdir=workdir,
-        num_threads=config.num_threads,
         parallel_backend=config.backend,
         memory_budget=config.memory_budget,
-        pipeline=config.pipeline,
         checkpoint=True,
         fault_injector=injector,
     )

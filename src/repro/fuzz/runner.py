@@ -233,7 +233,6 @@ def _describe_plan(plan: Optional[FaultPlan]) -> str:
         "flip_byte_at_write",
         "crash_before_commit",
         "crash_after_commit",
-        "kill_worker_at_dispatch",
     ):
         value = getattr(plan, name)
         if value is not None:

@@ -20,7 +20,7 @@ looks.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -119,9 +119,7 @@ class DestinationDistributionMap:
             return int(self.added_since_sync[p, p])
         return int(self.added_since_sync[p, q] + self.added_since_sync[q, p])
 
-    def pair_scores(
-        self, assume_synced: Optional[Sequence[int]] = None
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def pair_scores(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All dirty pairs and their scores, as three parallel arrays.
 
         Returns ``(ps, qs, scores)`` with ``ps[i] <= qs[i]``, ordered
@@ -129,20 +127,9 @@ class DestinationDistributionMap:
         dirtiness/score semantics) as the scalar :meth:`pair_dirty` /
         :meth:`pair_score` pair, computed as whole-matrix boolean
         algebra instead of an O(n²) Python loop.
-
-        With ``assume_synced`` the computation *simulates*
-        :meth:`mark_synced` over those partitions first (without
-        mutating the map) — the scheduler's lookahead uses this to
-        predict the pair that will run after the current one completes.
         """
         added = self.added_since_sync
         synced = self.synced_version
-        if assume_synced:
-            ids = np.asarray(sorted(set(assume_synced)), dtype=np.int64)
-            added = added.copy()
-            synced = synced.copy()
-            added[np.ix_(ids, ids)] = 0
-            synced[np.ix_(ids, ids)] = self.version[ids][:, None]
         interacts = (self.counts > 0) | (self.counts.T > 0)
         stale = self.version[:, None] > synced
         dirty = interacts & (stale | stale.T)

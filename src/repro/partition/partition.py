@@ -10,10 +10,10 @@ The canonical in-memory form is **flat CSR**: three contiguous int64
 arrays ``(vertices, indptr, keys)`` where ``vertices`` holds the sorted
 source ids that have at least one out-edge and row ``i``'s packed keys
 live in ``keys[indptr[i]:indptr[i+1]]``.  This is the same layout the
-join kernels, the shared-memory parallel backends, and the on-disk
-format use, so partitions move through the whole stack without per-vertex
-dict materialization.  A thin read-only mapping view (:attr:`adjacency`)
-remains for stragglers and tests that want dict ergonomics.
+join kernels and the on-disk format use, so partitions move through the
+whole stack without per-vertex dict materialization.  A thin read-only
+mapping view (:attr:`adjacency`) remains for stragglers and tests that
+want dict ergonomics.
 """
 
 from __future__ import annotations

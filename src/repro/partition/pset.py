@@ -11,14 +11,10 @@ is exceeded the least-recently-used unpinned partition is evicted
 the manager keep the total under budget (§4.1's "two partitions in
 memory" generalized to "as many as the budget allows").
 
-With an I/O pipeline attached (:meth:`PartitionSet.attach_io`) the set
-additionally supports *speculative prefetch* (:meth:`prefetch` starts a
-background load; :meth:`acquire` joins it instead of re-reading) and
-*asynchronous write-back* (:meth:`begin_flush` snapshots dirty CSR
-arrays and hands serialization to the I/O thread).  All slot and
-residency bookkeeping is then guarded by one reentrant lock; the engine
-thread never blocks on an I/O future while holding it, because the I/O
-thread's completion handlers acquire the same lock.
+All slot and residency bookkeeping is guarded by one reentrant lock:
+the closure daemon's executor threads query one finished computation
+concurrently (see :mod:`repro.engine.store`), and each query may load
+and evict partitions.
 
 Splits (:meth:`split`) rewrite the VIT and grow the DDM in place.
 """
@@ -26,9 +22,8 @@ Splits (:meth:`split`) rewrite the VIT and grow the DDM in place.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Future
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -51,11 +46,6 @@ class _Slot:
     nbytes: int = 0  # size of the (last seen) resident CSR arrays
     last_used: int = 0  # LRU clock stamp of the latest acquire/touch
     pinned: bool = False  # never auto-evicted while pinned
-    # -- pipeline state (all guarded by the owning set's lock) ----------
-    loading: Optional[Future] = None  # in-flight background read
-    load_token: Optional[object] = field(default=None, repr=False)
-    flushing: Optional[Future] = None  # in-flight background write
-    prefetched: bool = False  # resident copy came from an unconsumed prefetch
 
 
 class ResidencyManager:
@@ -163,8 +153,6 @@ class PartitionSet:
         # references them); the engine flips this and purges after commit.
         self.defer_deletes = False
         self._lock = threading.RLock()
-        self._io = None  # attached IoPipeline, if any
-        self._inflight_load_bytes = 0
         self._interval_lows: Optional[np.ndarray] = None
         self._slots: List[_Slot] = [
             _Slot(
@@ -210,8 +198,6 @@ class PartitionSet:
         self.residency = ResidencyManager(memory_budget)
         self.defer_deletes = False
         self._lock = threading.RLock()
-        self._io = None
-        self._inflight_load_bytes = 0
         self._interval_lows = None
         self._slots = [
             _Slot(
@@ -267,23 +253,6 @@ class PartitionSet:
                 i for i, s in enumerate(self._slots) if s.partition is not None
             ]
 
-    def scheduling_resident_pids(self) -> List[int]:
-        """Resident pids as the *sequential* engine would see them.
-
-        Excludes unconsumed speculative loads: the scheduler's residency
-        tie-break must not be influenced by its own prediction, or the
-        pipelined run schedules differently from the sequential one and
-        the two stop being superstep-for-superstep comparable (resume
-        tests rely on that).  A consumed prefetch (``acquire`` hit it)
-        clears the flag and counts as ordinarily resident.
-        """
-        with self._lock:
-            return [
-                i
-                for i, s in enumerate(self._slots)
-                if s.partition is not None and not s.prefetched
-            ]
-
     def resident_bytes(self) -> int:
         with self._lock:
             return sum(
@@ -318,22 +287,6 @@ class PartitionSet:
             return self._interval_lows
 
     # ------------------------------------------------------------------
-    # I/O pipeline attachment
-    # ------------------------------------------------------------------
-    def attach_io(self, pipeline) -> None:
-        """Route prefetch and async write-back through ``pipeline``."""
-        with self._lock:
-            self._io = pipeline
-
-    def detach_io(self) -> None:
-        with self._lock:
-            self._io = None
-
-    def _count_io(self, counter: str) -> None:
-        if self._io is not None:
-            self._io.count(counter)
-
-    # ------------------------------------------------------------------
     # residency management
     # ------------------------------------------------------------------
     def acquire(self, pid: int) -> Partition:
@@ -342,144 +295,23 @@ class PartitionSet:
         Budgeted sets make room *before* reading: the incoming size is
         known from the slot's last residency, so the load itself never
         has to overshoot by more than the incoming partition.
-
-        With a pipeline attached, an in-flight prefetch of ``pid`` is
-        *joined* (the engine blocks on the background read instead of
-        issuing its own), and an in-flight flush of ``pid`` is drained
-        before re-reading the file it is still writing.
-        """
-        while True:
-            with self._lock:
-                slot = self._slots[pid]
-                if slot.partition is not None:
-                    if slot.prefetched:
-                        slot.prefetched = False
-                        self._count_io("prefetch_hits")
-                    self.residency.touch(slot, hit=True)
-                    return slot.partition
-                load, flush = slot.loading, slot.flushing
-                if load is None and flush is None:
-                    if slot.path is None:
-                        raise RuntimeError(
-                            f"partition {pid} has neither memory nor disk copy"
-                        )
-                    self._make_room(incoming=slot.nbytes, keep=(pid,))
-                    slot.partition = self.store.read(slot.path)
-                    slot.dirty = False
-                    self.residency.touch(slot, hit=False)
-                    self.residency.recharge(slot)
-                    self.residency.observe(self._slots)
-                    return slot.partition
-            # Never wait on a future while holding the lock: the I/O
-            # thread's completion handlers take the same lock.
-            if load is not None:
-                self._io.wait_load(load)
-            else:
-                self._io.wait_flush(flush)
-            # Loop: the prefetch installed the partition (hit path), or
-            # the flush finished and the file is now safe to read.
-
-    def prefetch(self, pid: int) -> bool:
-        """Start loading ``pid`` on the I/O thread; best-effort.
-
-        Declined (returns False) when the partition is already resident
-        or loading, has no disk copy, would not fit in the memory budget
-        without evicting anything, or its file is still being flushed.
-        Speculative bytes are charged against the budget the moment the
-        load is issued (``_inflight_load_bytes``), so a prefetch can
-        never push residency past the budget — mispredictions waste one
-        read, never memory.
         """
         with self._lock:
-            if self._io is None or not self.store.disk_backed:
-                return False
             slot = self._slots[pid]
-            if (
-                slot.partition is not None
-                or slot.loading is not None
-                or slot.flushing is not None
-                or slot.path is None
-            ):
-                return False
-            if self.residency.budget_bytes is not None:
-                projected = (
-                    self.resident_bytes()
-                    + self._inflight_load_bytes
-                    + slot.nbytes
+            if slot.partition is not None:
+                self.residency.touch(slot, hit=True)
+                return slot.partition
+            if slot.path is None:
+                raise RuntimeError(
+                    f"partition {pid} has neither memory nor disk copy"
                 )
-                if self.residency.over_budget(projected):
-                    return False  # don't evict real data for a guess
-            token = object()
-            reserved = slot.nbytes
-            path = slot.path
-            slot.load_token = token
-            self._inflight_load_bytes += reserved
-
-            def job():
-                try:
-                    partition = self.store.read(path)
-                except BaseException:
-                    with self._lock:
-                        self._inflight_load_bytes -= reserved
-                        if slot.load_token is token:
-                            slot.load_token = None
-                            slot.loading = None
-                    raise
-                with self._lock:
-                    self._inflight_load_bytes -= reserved
-                    # Install only if the prefetch wasn't cancelled (and
-                    # the slot wasn't split away) in the meantime.
-                    if slot.load_token is token:
-                        slot.load_token = None
-                        slot.loading = None
-                        if slot.partition is None:
-                            slot.partition = partition
-                            slot.dirty = False
-                            slot.prefetched = True
-                            self.residency.loads += 1
-                            self.residency.recharge(slot)
-                            self.residency.observe(self._slots)
-                return None
-
-            slot.loading = self._io.submit(job)
-            self._count_io("prefetch_issued")
-            return True
-
-    def cancel_prefetch(self, pid: int) -> None:
-        """Abandon an in-flight or unconsumed prefetch of ``pid``.
-
-        A queued-but-unstarted load is cancelled outright; a running one
-        is disowned (its install check fails and the read is dropped);
-        an installed-but-unconsumed one is evicted (it is clean, so the
-        eviction costs no write).  All three count as ``prefetch_wasted``.
-        """
-        with self._lock:
-            slot = self._slots[pid]
-            if slot.loading is not None:
-                future = slot.loading
-                slot.loading = None
-                if slot.load_token is not None:
-                    slot.load_token = None
-                    if future.cancel():
-                        # Never ran: hand the reservation back here.
-                        self._inflight_load_bytes -= slot.nbytes
-                    self._count_io("prefetch_wasted")
-            elif slot.prefetched and slot.partition is not None:
-                self.evict(pid)
-
-    def reconcile_prefetch(self, pair: Tuple[int, ...]) -> None:
-        """Settle speculative loads against the actually chosen ``pair``.
-
-        Prefetches of partitions in ``pair`` are kept (acquire will join
-        or hit them); every other speculative load is cancelled/evicted
-        and counted wasted.
-        """
-        with self._lock:
-            for pid, slot in enumerate(self._slots):
-                if pid in pair:
-                    continue
-                if slot.loading is not None or slot.prefetched:
-                    self.cancel_prefetch(pid)
+            self._make_room(incoming=slot.nbytes, keep=(pid,))
+            slot.partition = self.store.read(slot.path)
+            slot.dirty = False
+            self.residency.touch(slot, hit=False)
+            self.residency.recharge(slot)
+            self.residency.observe(self._slots)
+            return slot.partition
 
     def note_mutated(self, pid: int) -> None:
         """Record that the resident copy of ``pid`` changed."""
@@ -605,68 +437,11 @@ class PartitionSet:
                 flushed += 1
             return flushed
 
-    def begin_flush(self) -> List[Future]:
-        """Asynchronous :meth:`flush_dirty`: snapshot now, write later.
-
-        For every dirty resident partition the CSR arrays are captured
-        by reference (the engine's scatter *rebinds* a partition's
-        arrays, never mutates them in place, so the captured triple is a
-        consistent snapshot even if the slot is re-dirtied while the
-        write is still queued), a destination path is pre-allocated, and
-        the serialization + fsync is submitted to the I/O thread.  The
-        slot's metadata is updated immediately — ``path`` points at the
-        in-flight file and ``dirty`` clears — which is exactly what
-        checkpoint-manifest building needs; the manifest must simply not
-        *commit* until the returned futures are drained.
-
-        Requires an attached pipeline; falls back to the synchronous
-        path otherwise (returning no futures).
-        """
-        if not self.store.disk_backed:
-            return []
-        with self._lock:
-            if self._io is None:
-                self.flush_dirty()
-                return []
-            futures: List[Future] = []
-            for slot in self._slots:
-                if slot.path is not None and not slot.dirty:
-                    continue
-                if slot.partition is None:
-                    if slot.path is None:
-                        raise RuntimeError(
-                            "slot has neither memory nor disk copy"
-                        )
-                    continue
-                snapshot = Partition.from_csr(
-                    slot.partition.interval, *slot.partition.csr()
-                )
-                new_path = self.store.allocate_path()
-                old_path = slot.path
-                slot.path = new_path
-                slot.dirty = False
-                self._discard(old_path)
-                future = self._io.submit(self.store.write_to, snapshot, new_path)
-                slot.flushing = future
-
-                def clear(done, slot=slot):
-                    with self._lock:
-                        if slot.flushing is done:
-                            slot.flushing = None
-
-                future.add_done_callback(clear)
-                futures.append(future)
-            return futures
-
     def _make_room(self, incoming: int, keep: Tuple[int, ...]) -> None:
-        # Callers hold the lock.  Speculative in-flight loads count
-        # toward residency so prefetch can never cause an overshoot the
-        # budget tests would see.
+        # Callers hold the lock.
         if self.residency.budget_bytes is None or not self.store.disk_backed:
             return
-        while self.residency.over_budget(
-            self.resident_bytes() + self._inflight_load_bytes, incoming
-        ):
+        while self.residency.over_budget(self.resident_bytes(), incoming):
             victim = self.residency.select_victim(
                 [
                     s if i not in keep else _PINNED_SENTINEL
@@ -689,9 +464,6 @@ class PartitionSet:
                 return
             if not self.store.disk_backed:
                 return
-            if slot.prefetched:
-                slot.prefetched = False
-                self._count_io("prefetch_wasted")
             if slot.dirty or slot.path is None:
                 old_path = slot.path
                 slot.path = self.store.write(slot.partition)
@@ -723,10 +495,6 @@ class PartitionSet:
             self._interval_lows = None
             left, right = partition.split(mid)
             old_slot = self._slots[pid]
-            # Disown any in-flight speculative load of the old slot; its
-            # install check (load_token) fails and the read is dropped.
-            old_slot.load_token = None
-            old_slot.loading = None
             halves = [
                 _Slot(
                     partition=half,

@@ -36,8 +36,9 @@ Durability and corruption handling (see DESIGN.md §9):
   committed, so a crash mid-superstep never invalidates the manifest's
   view of the directory.
 
-Files written by older versions still load: ``GRSPART1`` (same payload,
-40-byte header, no checksum) and the original ``.npz`` archives.
+Only ``GRSPART2`` files load.  Any other header — including the older
+checksum-less ``GRSPART1`` format and ``.npz`` archives — raises
+:class:`PartitionCorruptError`.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from __future__ import annotations
 import os
 import struct
 import threading
-import zipfile
 import zlib
 from pathlib import Path
 from typing import List, Optional, Set, Union
@@ -64,22 +64,14 @@ PathLike = Union[str, Path]
 #: File magic of the current raw partition format (8 bytes, versioned).
 PARTITION_MAGIC = b"GRSPART2"
 
-#: Magic of the pre-checksum raw format, still readable.
-LEGACY_MAGIC = b"GRSPART1"
-
 #: On-disk format version stored in the header.
 FORMAT_VERSION = 2
 
 #: ``<8s`` magic + ``<I`` version + ``<I`` crc32 + ``<4q`` lo/hi/nv/ne.
 _HEADER_STRUCT = struct.Struct("<8sIIqqqq")
 
-#: Header of the legacy checksum-less format: ``<8s`` magic + ``<4q``.
-_LEGACY_HEADER_STRUCT = struct.Struct("<8sqqqq")
-
 #: Payload byte offset of the current format — the header size.
 HEADER_BYTES = _HEADER_STRUCT.size
-
-LEGACY_HEADER_BYTES = _LEGACY_HEADER_STRUCT.size
 
 _INT64 = np.dtype("<i8")
 
@@ -174,23 +166,6 @@ def save_partition(
         raise
 
 
-def _load_legacy_npz(path: Path) -> Partition:
-    """Load a pre-raw-format ``.npz`` partition archive."""
-    try:
-        with np.load(path) as data:
-            interval = Interval(int(data["lo"][0]), int(data["hi"][0]))
-            vertices = np.asarray(data["vertices"], dtype=np.int64)
-            indptr = np.asarray(data["indptr"], dtype=np.int64)
-            keys = np.asarray(data["keys"], dtype=np.int64)
-    except (KeyError, OSError, ValueError, zipfile.BadZipFile, IndexError) as exc:
-        raise PartitionCorruptError(
-            f"{path}: malformed legacy .npz partition archive: {exc}"
-        ) from exc
-    if len(indptr) == 0:  # legacy empty partitions stored a 1-entry indptr
-        indptr = np.zeros(1, dtype=np.int64)
-    return Partition.from_csr(interval, vertices, indptr, keys)
-
-
 def load_partition(path: PathLike, mmap: bool = True, verify: bool = True) -> Partition:
     """Deserialize a partition written by :func:`save_partition`.
 
@@ -200,56 +175,48 @@ def load_partition(path: PathLike, mmap: bool = True, verify: bool = True) -> Pa
     mutate rows in place — merges always allocate fresh arrays — so the
     read-only mapping is safe by construction.
 
-    With ``verify`` the payload CRC32 is checked against the header
-    (``GRSPART2`` files; the legacy formats carry no checksum) and a
-    mismatch raises :class:`PartitionCorruptError`.  For memmap loads
+    With ``verify`` the payload CRC32 is checked against the header and
+    a mismatch raises :class:`PartitionCorruptError`.  For memmap loads
     the check is one sequential pass over the mapping that faults the
     pages the join was about to read anyway; :class:`PartitionStore`
     additionally memoizes it per file, so the cost is paid once.
-    Legacy ``.npz`` archives are detected by their zip signature and
-    decoded the old way.
     """
     path = Path(path)
     with open(path, "rb") as fh:
         head = fh.read(HEADER_BYTES)
-    if head[:4] == b"PK\x03\x04" and zipfile.is_zipfile(path):
-        return _load_legacy_npz(path)
-    expected_crc: Optional[int] = None
-    if head[:8] == PARTITION_MAGIC:
-        if len(head) < HEADER_BYTES:
-            raise PartitionCorruptError(
-                f"{path}: truncated partition header: expected {HEADER_BYTES}"
-                f" bytes, found {len(head)}"
-            )
-        _, version, expected_crc, lo, hi, nv, ne = _HEADER_STRUCT.unpack(head)
-        if version != FORMAT_VERSION:
-            raise PartitionCorruptError(
-                f"{path}: unsupported partition format version {version}"
-                f" (expected {FORMAT_VERSION})"
-            )
-        header_bytes = HEADER_BYTES
-    elif head[:8] == LEGACY_MAGIC:
-        _, lo, hi, nv, ne = _LEGACY_HEADER_STRUCT.unpack(head[:LEGACY_HEADER_BYTES])
-        header_bytes = LEGACY_HEADER_BYTES
-    else:
-        raise ValueError(f"{path}: not a Graspan partition file")
+    if head[:8] != PARTITION_MAGIC:
+        raise PartitionCorruptError(
+            f"{path}: not a Graspan partition file: magic {head[:8]!r},"
+            f" only {PARTITION_MAGIC!r} loads"
+        )
+    if len(head) < HEADER_BYTES:
+        raise PartitionCorruptError(
+            f"{path}: truncated partition header: expected {HEADER_BYTES}"
+            f" bytes, found {len(head)}"
+        )
+    _, version, expected_crc, lo, hi, nv, ne = _HEADER_STRUCT.unpack(head)
+    if version != FORMAT_VERSION:
+        raise PartitionCorruptError(
+            f"{path}: unsupported partition format version {version}"
+            f" (expected {FORMAT_VERSION})"
+        )
     if nv < 0 or ne < 0:
         raise PartitionCorruptError(
             f"{path}: invalid partition header (nv={nv}, ne={ne})"
         )
     total = nv + (nv + 1) + ne
     expected_bytes = total * _INT64.itemsize
-    actual_bytes = path.stat().st_size - header_bytes
+    actual_bytes = path.stat().st_size - HEADER_BYTES
     if actual_bytes != expected_bytes:
         raise PartitionCorruptError(
             f"{path}: truncated partition payload: expected {expected_bytes}"
             f" bytes, found {actual_bytes}"
         )
     if mmap:
-        buf = np.memmap(path, dtype=_INT64, mode="r", offset=header_bytes, shape=(total,))
+        buf = np.memmap(path, dtype=_INT64, mode="r", offset=HEADER_BYTES, shape=(total,))
     else:
-        buf = np.fromfile(path, dtype=_INT64, count=total, offset=header_bytes)
-    if verify and expected_crc is not None:
+        buf = np.fromfile(path, dtype=_INT64, count=total, offset=HEADER_BYTES)
+    if verify:
         actual_crc = zlib.crc32(buf)
         if actual_crc != expected_crc:
             raise PartitionCorruptError(
@@ -296,7 +263,6 @@ class PartitionStore:
         injector: Optional[FaultInjector] = None,
         durable: bool = True,
         verify_reads: bool = True,
-        scrub: bool = True,
     ) -> None:
         self.workdir = Path(workdir) if workdir is not None else None
         if self.workdir is not None:
@@ -306,10 +272,10 @@ class PartitionStore:
         self.injector = injector
         self.durable = durable
         self.verify_reads = verify_reads
-        # The I/O pipeline reads and writes partitions from a background
-        # thread while the engine thread evicts and loads; the lock keeps
-        # path allocation and the byte counters coherent.  Only metadata
-        # is guarded — file I/O itself runs outside the lock.
+        # The closure daemon's executor threads read partitions of one
+        # computation concurrently; the lock keeps path allocation and
+        # the byte counters coherent.  Only metadata is guarded — file
+        # I/O itself runs outside the lock.
         self._lock = threading.Lock()
         self._next_file_id = 0
         self._verified: Set[str] = set()
@@ -322,22 +288,18 @@ class PartitionStore:
         self.tmp_scrubbed = 0
         self.files_purged = 0
         if self.workdir is not None:
-            # Read-only sharers of a live workdir (distributed lease
-            # workers) must not scrub: an owner's in-flight *.tmp write
-            # is not an orphan.
-            self._scrub(remove_tmp=scrub)
+            self._scrub()
 
     @property
     def disk_backed(self) -> bool:
         return self.workdir is not None
 
-    def _scrub(self, remove_tmp: bool = True) -> None:
+    def _scrub(self) -> None:
         """Remove torn ``*.tmp`` orphans and resume the file-id counter."""
         assert self.workdir is not None
-        if remove_tmp:
-            for tmp in self.workdir.glob("*.tmp"):
-                tmp.unlink(missing_ok=True)
-                self.tmp_scrubbed += 1
+        for tmp in self.workdir.glob("*.tmp"):
+            tmp.unlink(missing_ok=True)
+            self.tmp_scrubbed += 1
         for existing in self.workdir.glob("partition-*.gp"):
             try:
                 file_id = int(existing.stem.split("-")[1])
@@ -364,12 +326,7 @@ class PartitionStore:
         return self.write_to(partition, self.allocate_path())
 
     def write_to(self, partition: Partition, path: Path) -> Path:
-        """Serialize ``partition`` to a pre-allocated ``path``.
-
-        The asynchronous write-back pipeline allocates the destination
-        up front (so the manifest can reference it before the bytes
-        land) and hands the serialization itself to the I/O thread.
-        """
+        """Serialize ``partition`` to ``path`` (from :meth:`allocate_path`)."""
 
         def attempt():
             if self.injector is not None:
@@ -425,31 +382,10 @@ class PartitionStore:
         with self._lock:
             self._retired.append(Path(path))
 
-    def retire_mark(self) -> int:
-        """The current length of the retire queue.
-
-        The pipelined commit protocol snapshots this when a manifest is
-        *built*: files retired before the snapshot are the ones that
-        manifest no longer references, so they — and only they — may be
-        purged once that manifest has durably committed.  Files retired
-        later (by the next superstep running ahead of the commit) may
-        still be referenced and must wait for the following commit.
-        """
+    def purge_retired(self) -> int:
+        """Unlink retired files; returns how many were removed."""
         with self._lock:
-            return len(self._retired)
-
-    def purge_retired(self, upto: Optional[int] = None) -> int:
-        """Unlink retired files; returns how many were removed.
-
-        With ``upto`` (a :meth:`retire_mark` snapshot) only the first
-        ``upto`` queue entries are purged; the rest stay queued for a
-        later commit.
-        """
-        with self._lock:
-            if upto is None:
-                batch, self._retired = self._retired, []
-            else:
-                batch, self._retired = self._retired[:upto], self._retired[upto:]
+            batch, self._retired = self._retired, []
             for path in batch:
                 self._verified.discard(str(path))
             self.files_purged += len(batch)

@@ -47,9 +47,8 @@ RETRYABLE_KINDS = frozenset({"overloaded", "draining"})
 
 #: The default client policy: five attempts, 50 ms doubling backoff with
 #: ±25 % jitter so retrying clients don't stampede back in lockstep.
-#: One shared constructor (``RetryPolicy.for_client``) feeds this, the
-#: distributed worker's reconnect path, and any future network caller —
-#: the backoff defaults live in exactly one place.
+#: One shared constructor (``RetryPolicy.for_client``) feeds this and any
+#: future network caller — the backoff defaults live in exactly one place.
 DEFAULT_CLIENT_RETRY = RetryPolicy.for_client()
 
 

@@ -101,7 +101,6 @@ class ClosureDaemon:
         max_edges_per_partition: Optional[int] = None,
         num_partitions: Optional[int] = None,
         memory_budget: Optional[int] = None,
-        num_threads: int = 1,
         parallel_backend: Optional[str] = None,
         num_workers: int = 8,
         fault_injector=None,
@@ -123,7 +122,6 @@ class ClosureDaemon:
             max_edges_per_partition=max_edges_per_partition,
             num_partitions=num_partitions,
             memory_budget=memory_budget,
-            num_threads=num_threads,
             parallel_backend=parallel_backend,
             fault_injector=fault_injector,
         )

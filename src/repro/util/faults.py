@@ -1,9 +1,8 @@
 """Deterministic fault injection for the durability stack.
 
 The crash-safety tests need to kill the engine at exactly the Nth store
-write, tear a partition file mid-write, flip payload bytes, raise
-scheduled ``EIO``/``ENOSPC`` errors, or SIGKILL a join-pool worker — and
-do it *reproducibly*, so a failing seed replays.  This module provides:
+write, tear a partition file mid-write, flip payload bytes, or raise
+scheduled ``EIO``/``ENOSPC`` errors — and do it *reproducibly*, so a failing seed replays.  This module provides:
 
 :class:`InjectedCrash`
     A :class:`BaseException` standing in for ``SIGKILL``.  It derives
@@ -21,8 +20,8 @@ do it *reproducibly*, so a failing seed replays.  This module provides:
 
 :class:`FaultInjector`
     The runtime half: counts operations and fires the planned faults.
-    The partition store, the run journal, and the process join backend
-    each call its hooks at their fault points; with no injector (or an
+    The partition store and the run journal each call its hooks at
+    their fault points; with no injector (or an
     empty plan) every hook is a no-op.
 
 Environment knobs (all optional; see README "Fault injection"):
@@ -38,8 +37,6 @@ Environment knobs (all optional; see README "Fault injection"):
 ``REPRO_FAULT_ERRNO_WRITE`` / ``REPRO_FAULT_ERRNO_READ``
     Comma-separated ``index:ERRNO`` schedule of injected ``OSError``s,
     e.g. ``"2:EIO,5:ENOSPC"``.
-``REPRO_FAULT_KILL_WORKER``
-    SIGKILL one pool worker before the Nth parallel dispatch.
 """
 
 from __future__ import annotations
@@ -47,9 +44,8 @@ from __future__ import annotations
 import errno
 import os
 import random
-import signal
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional
 
 
 class InjectedCrash(BaseException):
@@ -103,7 +99,6 @@ class FaultPlan:
     errno_at_read: Dict[int, int] = field(default_factory=dict)
     crash_before_commit: Optional[int] = None  # die with manifest N unwritten
     crash_after_commit: Optional[int] = None  # die right after manifest N lands
-    kill_worker_at_dispatch: Optional[int] = None  # SIGKILL before Nth dispatch
 
     @classmethod
     def from_env(cls, env: Optional[Mapping[str, str]] = None) -> "FaultPlan":
@@ -115,7 +110,6 @@ class FaultPlan:
             errno_at_read=_parse_errno_schedule(env.get("REPRO_FAULT_ERRNO_READ", "")),
             crash_before_commit=_env_int(env, "REPRO_FAULT_CRASH_PRECOMMIT"),
             crash_after_commit=_env_int(env, "REPRO_FAULT_CRASH_COMMIT"),
-            kill_worker_at_dispatch=_env_int(env, "REPRO_FAULT_KILL_WORKER"),
         )
 
     @classmethod
@@ -156,8 +150,6 @@ class FaultPlan:
             env["REPRO_FAULT_CRASH_PRECOMMIT"] = str(self.crash_before_commit)
         if self.crash_after_commit is not None:
             env["REPRO_FAULT_CRASH_COMMIT"] = str(self.crash_after_commit)
-        if self.kill_worker_at_dispatch is not None:
-            env["REPRO_FAULT_KILL_WORKER"] = str(self.kill_worker_at_dispatch)
         return env
 
     def empty(self) -> bool:
@@ -165,7 +157,7 @@ class FaultPlan:
 
 
 class FaultInjector:
-    """Counts store/journal/pool operations and fires the planned faults.
+    """Counts store/journal operations and fires the planned faults.
 
     One injector instance follows one engine run (counters are
     cumulative), which is exactly what crash tests want: "the 7th write
@@ -177,11 +169,9 @@ class FaultInjector:
         self.writes = 0
         self.reads = 0
         self.commits = 0
-        self.dispatches = 0
         self.injected_errors = 0
         self.injected_crashes = 0
         self.flipped_writes = 0
-        self.killed_workers = 0
 
     # -- partition store hooks ------------------------------------------
     def on_write_start(self, path) -> None:
@@ -233,14 +223,6 @@ class FaultInjector:
         if self.plan.crash_after_commit == self.commits:
             self.injected_crashes += 1
             raise InjectedCrash(f"injected crash after manifest commit #{self.commits}")
-
-    # -- process pool hooks ----------------------------------------------
-    def on_dispatch(self, worker_pids: Sequence[int]) -> None:
-        """Called before each parallel dispatch; may SIGKILL one worker."""
-        self.dispatches += 1
-        if self.plan.kill_worker_at_dispatch == self.dispatches and worker_pids:
-            self.killed_workers += 1
-            os.kill(worker_pids[0], signal.SIGKILL)
 
 
 def flip_payload_byte(path, offset: int = -1) -> None:

@@ -70,10 +70,9 @@ class RetryPolicy:
     def for_client(cls) -> "RetryPolicy":
         """The network-facing policy: 5 attempts, 50 ms backoff, ±25 % jitter.
 
-        Many clients retry against one daemon (or one coordinator), so
-        jitter keeps them from stampeding back in lockstep.  Shared by
-        :class:`~repro.service.client.ServiceClient` and the distributed
-        worker's coordinator reconnect path.
+        Many clients retry against one daemon, so jitter keeps them from
+        stampeding back in lockstep.  The default of
+        :class:`~repro.service.client.ServiceClient`.
         """
         return cls(
             attempts=5,

@@ -57,10 +57,10 @@ class TimeBreakdown:
     Used by :class:`repro.engine.engine.GraspanEngine` to produce the
     Table 6 style CT / I/O breakdown.
 
-    Accumulation is thread-safe: with the I/O pipeline on, the ``io``
-    phase is recorded from the background I/O thread while the main
-    thread records ``compute``, so overlapping phases simply sum their
-    wall-clock contributions per thread.
+    Accumulation is thread-safe: the closure daemon's executor threads
+    may record ``io`` for the same computation concurrently, so
+    overlapping phases simply sum their wall-clock contributions per
+    thread.
     """
 
     def __init__(self) -> None:

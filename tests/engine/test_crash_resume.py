@@ -5,8 +5,7 @@ killed at *any* point — after any manifest commit, before a commit, or
 mid-partition-write with a torn tmp file — resumes from the last
 committed superstep watermark and produces a closure byte-identical to
 an uninterrupted run.  Corrupted partition bytes are detected at load,
-never silently joined; a SIGKILLed pool worker is respawned and the
-superstep still completes.
+never silently joined.
 
 The workload is the scaled-down ``postgresql_like`` pointer graph used
 elsewhere in the engine tests, partitioned small enough to force many
@@ -205,125 +204,6 @@ class TestCorruptionDetection:
         with pytest.raises(PartitionCorruptError, match="checksum mismatch"):
             make_engine(grammar, max_edges, workdir, injector).run(graph)
         assert injector.flipped_writes == 1
-
-
-_REAL_WORKER_JOIN = None
-
-
-def _slow_worker_join(task):
-    """Module-level (picklable) wrapper that makes pool tasks slow enough
-    for the dead-worker poll to observe the damage deterministically."""
-    import time
-
-    time.sleep(0.3)
-    return _REAL_WORKER_JOIN(task)
-
-
-@pytest.fixture
-def chain_setup():
-    """A chain graph + ``R ::= E E`` grammar big enough for the pool path."""
-    import repro.engine.parallel as par
-    from repro import Grammar
-    from repro.engine.join import CsrView
-    from repro.graph import packed
-
-    if not par.shared_memory_available():
-        pytest.skip("process backend unavailable")
-    g = Grammar()
-    g.add_constraint("R", "E", "E")
-    frozen = g.freeze()
-    e_label = frozen.names.index("E")
-    n = 600
-    adjacency = {
-        i: packed.pack(np.array([i + 1]), np.array([e_label]))
-        for i in range(n)
-    }
-    view = CsrView.from_dict(adjacency)
-    serial = par.make_backend("serial", frozen)
-    serial.begin_superstep()
-    expected = serial.join_views(view, [view])
-    assert len(expected[0]) == n - 1  # R edges i -> i+2
-    return frozen, view, expected
-
-
-class TestWorkerRecovery:
-    def test_killed_pool_worker_run_still_completes_correctly(
-        self, graph, grammar, max_edges, baseline, tmp_path
-    ):
-        """Engine level: a SIGKILLed worker never corrupts the closure.
-
-        Whether the map is saved by the pool's own repopulation or by a
-        full backend respawn is timing-dependent; the invariant is the
-        run completes with the exact baseline closure either way."""
-        from repro.engine.parallel import shared_memory_available
-
-        if not shared_memory_available():
-            pytest.skip("process backend unavailable")
-        injector = FaultInjector(FaultPlan(kill_worker_at_dispatch=1))
-        computation = make_engine(
-            grammar,
-            max_edges,
-            tmp_path / "killer",
-            injector,
-            num_threads=2,
-            parallel_backend="process",
-        ).run(graph)
-        assert injector.killed_workers == 1
-        assert not computation.stats.backend_degraded
-        assert_same_closure(baseline, computation)
-
-    def test_dead_worker_is_detected_and_pool_respawned(
-        self, chain_setup, monkeypatch
-    ):
-        """Backend level, deterministic: tasks slow enough that the kill
-        is always observed mid-map, forcing the respawn-and-retry path."""
-        global _REAL_WORKER_JOIN
-        import repro.engine.parallel as par
-
-        frozen, view, expected = chain_setup
-        _REAL_WORKER_JOIN = par._worker_join
-        monkeypatch.setattr(par, "_worker_join", _slow_worker_join)
-        backend = par.make_backend("process", frozen, num_workers=2)
-        backend.injector = FaultInjector(FaultPlan(kill_worker_at_dispatch=1))
-        backend.respawn_base_delay = 0.0
-        try:
-            backend.begin_superstep()
-            result = backend.join_views(view, [view])
-            assert backend.worker_respawns >= 1
-            assert not backend._degraded
-            assert np.array_equal(result[0], expected[0])
-            assert np.array_equal(result[1], expected[1])
-            assert backend.telemetry.worker_respawns >= 1
-        finally:
-            backend.close()
-
-    def test_respawn_exhaustion_degrades_to_inline_joins(
-        self, chain_setup, monkeypatch
-    ):
-        """When every respawn finds the pool damaged again, the backend
-        gives up loudly and completes the join inline."""
-        global _REAL_WORKER_JOIN
-        import repro.engine.parallel as par
-
-        frozen, view, expected = chain_setup
-        _REAL_WORKER_JOIN = par._worker_join
-        monkeypatch.setattr(par, "_worker_join", _slow_worker_join)
-        monkeypatch.setattr(
-            par.ProcessJoinBackend, "_pool_damaged", lambda self, pids: True
-        )
-        backend = par.make_backend("process", frozen, num_workers=2)
-        backend.max_respawns = 1
-        backend.respawn_base_delay = 0.0
-        try:
-            backend.begin_superstep()
-            result = backend.join_views(view, [view])
-            assert backend._degraded
-            assert backend.telemetry.backend_degraded
-            assert "degraded" in backend.display_name
-            assert np.array_equal(result[0], expected[0])
-            assert np.array_equal(result[1], expected[1])
-        finally:
-            backend.close()
 
 
 class TestSeededFaultMatrix:

@@ -53,8 +53,8 @@ def assert_results_identical(serial, mm):
 
 def run_both(adjacency, grammar, **kwargs):
     serial = run_superstep(dict(adjacency), grammar, **kwargs)
-    with make_backend("matmul", grammar, 1) as backend:
-        mm = run_superstep(dict(adjacency), grammar, backend=backend, **kwargs)
+    backend = make_backend("matmul", grammar)
+    mm = run_superstep(dict(adjacency), grammar, backend=backend, **kwargs)
     return serial, mm, backend
 
 
@@ -122,14 +122,14 @@ class TestSuperstepEquivalence:
 
     def test_empty_operands_short_circuit(self, reach):
         """Empty left arrays / empty right views return EMPTY directly."""
-        with make_backend("matmul", reach, 1) as backend:
-            backend.begin_superstep()
-            backend.begin_iteration()
-            view = CsrView.from_dict({})
-            src, keys = backend.join_edge_list(
-                packed.EMPTY, packed.EMPTY, view, [view]
-            )
-            assert len(src) == 0 and len(keys) == 0
+        backend = make_backend("matmul", reach)
+        backend.begin_superstep()
+        backend.begin_iteration()
+        view = CsrView.from_dict({})
+        src, keys = backend.join_edge_list(
+            packed.EMPTY, packed.EMPTY, view, [view]
+        )
+        assert len(src) == 0 and len(keys) == 0
 
     def test_dim_guard_falls_back_to_edge_pairs(self, reach, monkeypatch):
         """Vertex ids past MAX_MATMUL_DIM take the inline edge-pair path
@@ -263,7 +263,7 @@ class TestScipyFallback:
     def test_make_backend_degrades_to_serial(self, reach, monkeypatch, caplog):
         monkeypatch.setattr(matmul_mod, "_sparse", None)
         with caplog.at_level("WARNING"):
-            backend = make_backend("matmul", reach, 1)
+            backend = make_backend("matmul", reach)
         assert isinstance(backend, SerialJoinBackend)
         assert backend.display_name == "serial(matmul-fallback)"
         assert any("scipy" in r.message for r in caplog.records)

@@ -69,50 +69,6 @@ class TestRoundRobin:
         assert RoundRobinScheduler().choose_pair(ddm, []) is None
 
 
-class TestPeekPair:
-    """The lookahead used by the I/O pipeline's speculative prefetch."""
-
-    def test_peek_without_assumption_matches_choose(self):
-        ddm = ddm_from([[0, 3, 0], [0, 0, 9], [2, 0, 0]])
-        scheduler = Scheduler()
-        assert scheduler.peek_pair(ddm, []) == scheduler.choose_pair(ddm, [])
-
-    def test_peek_predicts_pair_after_current_completes(self):
-        ddm = ddm_from([[0, 1, 0], [0, 0, 9], [0, 0, 0]])
-        scheduler = Scheduler(slack=0.0)
-        current = scheduler.choose_pair(ddm, [])
-        assert current == (1, 2)
-        predicted = scheduler.peek_pair(ddm, [], assume_synced=current)
-        # Simulate the real sync and check the prediction was exact.
-        ddm.mark_synced(current)
-        assert predicted == scheduler.choose_pair(ddm, [])
-
-    def test_peek_does_not_mutate_the_ddm(self):
-        ddm = ddm_from([[0, 4, 0], [0, 0, 7], [1, 0, 0]])
-        before = (
-            ddm.counts.copy(),
-            ddm.added_since_sync.copy(),
-            ddm.version.copy(),
-            ddm.synced_version.copy(),
-        )
-        Scheduler().peek_pair(ddm, [0], assume_synced=(1, 2))
-        assert np.array_equal(before[0], ddm.counts)
-        assert np.array_equal(before[1], ddm.added_since_sync)
-        assert np.array_equal(before[2], ddm.version)
-        assert np.array_equal(before[3], ddm.synced_version)
-
-    def test_peek_none_when_assumed_sync_finishes_everything(self):
-        ddm = ddm_from([[0, 5], [0, 0]])
-        assert Scheduler().peek_pair(ddm, [], assume_synced=(0, 1)) is None
-
-    def test_peek_respects_residency_tiebreak(self):
-        ddm = ddm_from(
-            [[0, 5, 0, 0], [0, 0, 0, 0], [0, 0, 0, 5], [0, 0, 0, 0]]
-        )
-        assert Scheduler(slack=0.1).peek_pair(ddm, [2]) == (2, 3)
-        assert Scheduler(slack=0.1).peek_pair(ddm, [0]) == (0, 1)
-
-
 class TestVectorizedScoring:
     """pair_scores must replicate the scalar pair_dirty/pair_score pair."""
 
@@ -140,61 +96,9 @@ class TestVectorizedScoring:
             assert got == expected
 
 
-class TestExcludePids:
-    """The coordinator's disjoint-lease filter (`exclude_pids`)."""
-
-    def counts(self):
-        return [
-            [0, 9, 0, 0],
-            [0, 0, 0, 0],
-            [0, 0, 0, 7],
-            [0, 0, 0, 0],
-        ]
-
-    def test_no_exclusions_is_the_plain_policy(self):
-        ddm = ddm_from(self.counts())
-        s = Scheduler(slack=0.0)
-        assert s.choose_pair(ddm, [], exclude_pids=()) == s.choose_pair(ddm, [])
-
-    def test_excluding_best_pair_yields_next_disjoint_pair(self):
-        ddm = ddm_from(self.counts())
-        s = Scheduler(slack=0.0)
-        first = s.choose_pair(ddm, [])
-        assert first == (0, 1)
-        second = s.choose_pair(ddm, [], exclude_pids=first)
-        assert second == (2, 3)
-        assert not set(first) & set(second)
-
-    def test_all_pairs_busy_returns_none_without_finishing(self):
-        # Every dirty pair overlaps an in-flight lease: the scheduler
-        # answers None (the coordinator's "wait"), but the same call
-        # without exclusions still sees the work.
-        ddm = ddm_from(self.counts())
-        s = Scheduler(slack=0.0)
-        assert s.choose_pair(ddm, [], exclude_pids=(0, 2)) is None
-        assert s.choose_pair(ddm, []) is not None
-
-    def test_self_pair_excluded_by_its_single_pid(self):
-        ddm = ddm_from([[5, 0], [0, 0]])
-        s = Scheduler(slack=0.0)
-        assert s.choose_pair(ddm, []) == (0, 0)
-        assert s.choose_pair(ddm, [], exclude_pids=(0,)) is None
-
-    def test_exclusion_does_not_mutate_future_choices(self):
-        # choose_pair is stateless: an excluded call in between must not
-        # perturb the unexcluded sequence (RoundRobin's cursor is why the
-        # coordinator records fixpoint verdicts itself).
-        ddm = ddm_from(self.counts())
-        s = Scheduler(slack=0.0)
-        before = s.choose_pair(ddm, [])
-        s.choose_pair(ddm, [], exclude_pids=(0, 1, 2, 3))
-        assert s.choose_pair(ddm, []) == before
-
-
 class TestPeekChooseOutOfOrder:
-    """peek_pair and choose_pair must agree when leases complete out of
-    issue order — the distributed coordinator issues pair B while pair A
-    is still in flight, and B may finish (and sync) first."""
+    """choose_pair is a function of the DDM state alone: when two pairs'
+    joins are applied in either order, the next choice is the same."""
 
     def counts(self):
         return [
@@ -205,30 +109,10 @@ class TestPeekChooseOutOfOrder:
             [0, 0, 0, 0, 0],
         ]
 
-    def test_peek_predicts_choice_after_out_of_order_sync(self):
-        ddm = ddm_from(self.counts())
-        s = Scheduler(slack=0.0)
-        first = s.choose_pair(ddm, [])
-        second = s.choose_pair(ddm, [], exclude_pids=first)
-        assert first == (0, 1) and second == (2, 3)
-        # The *second* lease completes first.  Peek's simulation of that
-        # sync must match the real choice after the DDM actually syncs.
-        predicted = s.peek_pair(ddm, [], assume_synced=second)
-        ddm.mark_synced(second)
-        assert s.choose_pair(ddm, []) == predicted
-
-    def test_agreement_holds_for_every_completion_order(self):
-        s = Scheduler(slack=0.0)
-        for completes_first in ((0, 1), (2, 3)):
-            ddm = ddm_from(self.counts())
-            predicted = s.peek_pair(ddm, [], assume_synced=completes_first)
-            ddm.mark_synced(completes_first)
-            assert s.choose_pair(ddm, []) == predicted
-
     def test_later_choices_independent_of_completion_order(self):
-        # Two in-flight leases; whichever completes first, the set of
-        # pairs the scheduler hands out next is the same (confluence at
-        # the scheduling level, with deterministic per-state choices).
+        # Whichever of the two pairs syncs first, the pair the scheduler
+        # hands out next is the same (confluence at the scheduling level,
+        # with deterministic per-state choices).
         s = Scheduler(slack=0.0)
         orders = [((0, 1), (2, 3)), ((2, 3), (0, 1))]
         chosen = []

@@ -109,23 +109,6 @@ class TestGroupCandidates:
         assert by_v[3] == [30, 31]
 
 
-class TestThreads:
-    def test_threaded_matches_sequential(self, dyck):
-        import random
-
-        rnd = random.Random(5)
-        edges = list(
-            {
-                (rnd.randrange(15), rnd.randrange(15), rnd.randrange(2))
-                for _ in range(50)
-            }
-        )
-        seq = run_superstep(adjacency_of(edges), dyck, num_threads=1)
-        par = run_superstep(adjacency_of(edges), dyck, num_threads=4)
-        assert closure_edges(seq) == closure_edges(par)
-        assert seq.edges_added == par.edges_added
-
-
 class TestFreshPairsFastPath:
     """The compound-searchsorted merge must match the flag-lexsort oracle."""
 

@@ -1,4 +1,4 @@
-"""Extra determinism/thread coverage on the full analysis pipeline."""
+"""Extra determinism coverage on the full analysis pipeline."""
 
 
 from repro.analysis import PointsToAnalysis
@@ -18,13 +18,6 @@ void top(void) {
 
 
 class TestPipelineDeterminism:
-    def test_threaded_pointsto_matches_sequential(self):
-        pg = compile_program(SOURCE)
-        seq = PointsToAnalysis(num_threads=1).run(pg)
-        par = PointsToAnalysis(num_threads=4).run(pg)
-        assert seq.num_points_to_facts == par.num_points_to_facts
-        assert set(seq.alias_edges()) == set(par.alias_edges())
-
     def test_out_of_core_pointsto_matches_in_memory(self, tmp_path):
         pg = compile_program(SOURCE)
         mem = PointsToAnalysis().run(pg)

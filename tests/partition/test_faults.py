@@ -118,7 +118,6 @@ class TestFaultPlan:
                 "REPRO_FAULT_ERRNO_READ": "1:EIO",
                 "REPRO_FAULT_CRASH_PRECOMMIT": "7",
                 "REPRO_FAULT_CRASH_COMMIT": "8",
-                "REPRO_FAULT_KILL_WORKER": "2",
             }
         )
         assert plan.crash_at_write == 3
@@ -127,7 +126,6 @@ class TestFaultPlan:
         assert plan.errno_at_read == {1: errno.EIO}
         assert plan.crash_before_commit == 7
         assert plan.crash_after_commit == 8
-        assert plan.kill_worker_at_dispatch == 2
         assert not plan.empty()
 
     def test_from_env_empty_environment(self):

@@ -2,7 +2,7 @@
 
 The on-disk layout is header + the three CSR arrays verbatim, so a
 round-trip must reproduce ``(vertices, indptr, keys)`` byte-identically.
-Legacy ``.npz`` archives (the pre-raw format) must keep loading.
+Legacy formats (``GRSPART1``, ``.npz``) are rejected with a typed error.
 """
 
 import numpy as np
@@ -119,20 +119,26 @@ class TestFormatVersioning:
         with pytest.raises(PartitionCorruptError, match="version 99"):
             load_partition(path)
 
-    def test_legacy_grspart1_still_loads(self, tmp_path):
-        """Files written before the checksum header must keep loading."""
-        import numpy as _np
 
-        from repro.partition.storage import _LEGACY_HEADER_STRUCT, LEGACY_MAGIC
+class TestLegacyFormatsRejected:
+    """Older on-disk formats no longer load, and they fail loudly."""
 
+    def test_grspart1_header_raises_corrupt_error(self, tmp_path):
+        import struct
+
+        from repro.partition.storage import PartitionCorruptError
+
+        # The checksum-less GRSPART1 layout: magic + lo/hi/nv/ne, then
+        # a payload that is well-formed for that header.
         partition = Partition.from_triples(
             Interval(0, 15), [(2, 9, 1), (2, 3, 0), (11, 0, 2)]
         )
         path = tmp_path / "old.gp"
         with open(path, "wb") as fh:
             fh.write(
-                _LEGACY_HEADER_STRUCT.pack(
-                    LEGACY_MAGIC,
+                struct.pack(
+                    "<8sqqqq",
+                    b"GRSPART1",
                     partition.interval.lo,
                     partition.interval.hi,
                     len(partition.vertices),
@@ -140,62 +146,18 @@ class TestFormatVersioning:
                 )
             )
             for array in partition.csr():
-                fh.write(_np.ascontiguousarray(array, dtype=_np.int64).data)
-        loaded = load_partition(path)
-        assert loaded.interval == partition.interval
-        assert np.array_equal(loaded.vertices, partition.vertices)
-        assert np.array_equal(loaded.indptr, partition.indptr)
-        assert np.array_equal(loaded.keys, partition.keys)
-
-    def test_legacy_grspart1_truncation_still_detected(self, tmp_path):
-        from repro.partition.storage import _LEGACY_HEADER_STRUCT, LEGACY_MAGIC
-        from repro.partition.storage import PartitionCorruptError
-
-        path = tmp_path / "old.gp"
-        path.write_bytes(
-            _LEGACY_HEADER_STRUCT.pack(LEGACY_MAGIC, 0, 7, 3, 10)
-        )  # header promises payload bytes that are not there
-        with pytest.raises(PartitionCorruptError, match="truncated"):
+                fh.write(np.ascontiguousarray(array, dtype=np.int64).data)
+        with pytest.raises(PartitionCorruptError, match="GRSPART1"):
             load_partition(path)
 
+    def test_npz_archive_raises_corrupt_error(self, tmp_path):
+        from repro.partition.storage import PartitionCorruptError
 
-class TestLegacyNpz:
-    def make_legacy(self, path, partition):
-        with open(path, "wb") as fh:
-            np.savez(
-                fh,
-                lo=np.asarray([partition.interval.lo], dtype=np.int64),
-                hi=np.asarray([partition.interval.hi], dtype=np.int64),
-                vertices=partition.vertices,
-                indptr=partition.indptr,
-                keys=partition.keys,
-            )
-
-    def test_legacy_npz_still_loads(self, tmp_path):
-        partition = Partition.from_triples(
-            Interval(0, 15), [(2, 9, 1), (2, 3, 0), (11, 0, 2)]
-        )
         path = tmp_path / "old.npz"
-        self.make_legacy(path, partition)
-        loaded = load_partition(path)
-        assert loaded.interval == partition.interval
-        assert np.array_equal(loaded.keys, partition.keys)
-        assert list(loaded.edges()) == list(partition.edges())
-
-    def test_legacy_empty_indptr_normalized(self, tmp_path):
-        path = tmp_path / "old-empty.npz"
         with open(path, "wb") as fh:
-            np.savez(
-                fh,
-                lo=np.asarray([0], dtype=np.int64),
-                hi=np.asarray([7], dtype=np.int64),
-                vertices=packed.EMPTY,
-                indptr=np.empty(0, dtype=np.int64),
-                keys=packed.EMPTY,
-            )
-        loaded = load_partition(path)
-        assert loaded.num_edges == 0
-        assert len(loaded.indptr) == 1
+            np.savez(fh, lo=np.zeros(1, dtype=np.int64), keys=packed.EMPTY)
+        with pytest.raises(PartitionCorruptError, match="not a Graspan"):
+            load_partition(path)
 
 
 class TestStoreCounters:

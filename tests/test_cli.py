@@ -115,104 +115,96 @@ class TestClosure:
         assert code == 0
 
 
-class TestDistributedCli:
-    def closure_inputs(self, tmp_path):
-        graph = MemGraph.from_edges(
-            [(i, i + 1, 0) for i in range(12)], label_names=["E"]
-        )
-        graph_file = tmp_path / "g.tsv"
-        write_text(graph, graph_file)
-        grammar_file = tmp_path / "g.grammar"
-        grammar_file.write_text("R ::= E | R E\n")
-        return graph_file, grammar_file
-
-    def test_distributed_backend_matches_serial(self, tmp_path, capsys):
-        from repro.graph import read_text
-
-        graph_file, grammar_file = self.closure_inputs(tmp_path)
-        serial_out = tmp_path / "serial.tsv"
-        code = main(
-            [
-                "closure",
-                "--graph", str(graph_file),
-                "--grammar", str(grammar_file),
-                "--max-edges-per-partition", "5",
-                "--workdir", str(tmp_path / "serial-work"),
-                "--out", str(serial_out),
-            ]
-        )
-        assert code == 0
-        dist_out = tmp_path / "dist.tsv"
-        code = main(
-            [
-                "closure",
-                "--graph", str(graph_file),
-                "--grammar", str(grammar_file),
-                "--max-edges-per-partition", "5",
-                "--workdir", str(tmp_path / "dist-work"),
-                "--backend", "distributed",
-                "--workers", "2",
-                "--out", str(dist_out),
-            ]
-        )
-        err = capsys.readouterr().err
-        assert code == 0
-        assert "distributed: 2 workers" in err
-        assert serial_out.read_text() == dist_out.read_text()
-
-    def test_distributed_requires_workdir(self, tmp_path, capsys):
-        graph_file, grammar_file = self.closure_inputs(tmp_path)
-        with pytest.raises(ValueError, match="workdir"):
-            main(
-                [
-                    "closure",
-                    "--graph", str(graph_file),
-                    "--grammar", str(grammar_file),
-                    "--backend", "distributed",
-                ]
-            )
+class TestFlagValidation:
+    """Numeric flags are checked at parse time: usage error, exit code 2."""
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["closure", "--graph", "g", "--grammar", "r",
-             "--backend", "distributed", "--workers", "0"],
-            ["closure", "--graph", "g", "--grammar", "r",
-             "--backend", "distributed", "--workers", "-2"],
-            ["closure", "--graph", "g", "--grammar", "r",
-             "--backend", "distributed", "--lease-timeout", "0"],
-            ["closure", "--graph", "g", "--grammar", "r",
-             "--backend", "distributed", "--lease-timeout", "-1.5"],
-            ["closure", "--graph", "g", "--grammar", "r",
-             "--backend", "distributed", "--max-inflight", "0"],
-            ["serve", "--workdir", "w", "--workers", "0"],
-            ["serve", "--workdir", "w", "--max-inflight", "-1"],
-            ["coordinator", "--graph", "g", "--grammar", "r",
-             "--workdir", "w", "--lease-timeout", "0"],
-            ["worker", "--workdir", "w", "--port", "0"],
+            pytest.param(
+                ["closure", "--graph", "g", "--grammar", "r",
+                 "--max-edges-per-partition", "0"],
+                "must be a positive",
+                id="closure-max-edges-0",
+            ),
+            pytest.param(
+                ["closure", "--graph", "g", "--grammar", "r",
+                 "--max-edges-per-partition", "-3"],
+                "must be a positive",
+                id="closure-max-edges-neg",
+            ),
+            pytest.param(
+                ["serve", "--store", "s", "--max-edges-per-partition", "0"],
+                "must be a positive",
+                id="serve-max-edges-0",
+            ),
+            pytest.param(
+                ["serve", "--store", "s", "--max-edges-per-partition", "-3"],
+                "must be a positive",
+                id="serve-max-edges-neg",
+            ),
+            pytest.param(
+                ["serve", "--store", "s", "--request-timeout", "-1"],
+                "must be a positive",
+                id="serve-request-timeout-neg",
+            ),
+            pytest.param(
+                ["serve", "--store", "s", "--request-timeout", "0"],
+                "must be a positive",
+                id="serve-request-timeout-0",
+            ),
+            pytest.param(
+                ["serve", "--store", "s", "--drain-grace", "-1"],
+                "must be a non-negative",
+                id="serve-drain-grace-neg",
+            ),
+            pytest.param(
+                ["serve", "--store", "s", "--drain-grace", "nan"],
+                "must be a finite",
+                id="serve-drain-grace-nan",
+            ),
+            pytest.param(
+                ["serve", "--store", "s", "--workers", "0"],
+                "must be a positive",
+                id="serve-workers-0",
+            ),
+            pytest.param(
+                ["serve", "--store", "s", "--max-inflight", "-1"],
+                "must be a positive",
+                id="serve-max-inflight-neg",
+            ),
         ],
     )
-    def test_nonpositive_tuning_flags_rejected(self, argv, capsys):
+    def test_bad_numeric_flags_rejected(self, argv, message, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "must be a positive" in err
+        assert f"argument {argv[-2]}: {message}" in err
 
-    def test_workers_flag_accepts_positive(self, tmp_path):
-        graph_file, grammar_file = self.closure_inputs(tmp_path)
-        code = main(
-            [
-                "closure",
-                "--graph", str(graph_file),
-                "--grammar", str(grammar_file),
-                "--max-edges-per-partition", "5",
-                "--workdir", str(tmp_path / "work"),
-                "--backend", "distributed",
-                "--workers", "1",
-            ]
+    def test_zero_drain_grace_accepted(self):
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args(
+            ["serve", "--store", "s", "--drain-grace", "0"]
         )
-        assert code == 0
+        assert args.drain_grace == 0.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["closure", "--graph", "g", "--grammar", "r", "--threads", "2"],
+            ["closure", "--graph", "g", "--grammar", "r", "--backend", "thread"],
+            ["closure", "--graph", "g", "--grammar", "r", "--no-pipeline"],
+            ["serve", "--store", "s", "--backend", "process"],
+            ["coordinator", "--graph", "g", "--grammar", "r", "--workdir", "w"],
+        ],
+        ids=["threads", "thread-backend", "pipeline", "process-backend", "coordinator"],
+    )
+    def test_removed_modes_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
 
 
 RACY_SOURCE = """

@@ -70,7 +70,6 @@ class TestEnvRoundTrip:
             errno_at_read={1: errno.EIO},
             crash_before_commit=4,
             crash_after_commit=6,
-            kill_worker_at_dispatch=7,
         )
         env = plan.to_env()
         assert set(env) == {
@@ -80,7 +79,6 @@ class TestEnvRoundTrip:
             "REPRO_FAULT_ERRNO_READ",
             "REPRO_FAULT_CRASH_PRECOMMIT",
             "REPRO_FAULT_CRASH_COMMIT",
-            "REPRO_FAULT_KILL_WORKER",
         }
         assert env["REPRO_FAULT_ERRNO_WRITE"] == "2:EIO,5:ENOSPC"
         assert FaultPlan.from_env(env) == plan
